@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SplitMix64;
-use raysearch_mc::{estimate, FaultSampler, McConfig, Scenario, TargetSampler, VisitTable};
+use raysearch_core::CompiledFleet;
+use raysearch_mc::{estimate, FaultSampler, McConfig, Scenario, TargetSampler};
 use raysearch_strategies::{CyclicExponential, RayStrategy};
 
 fn line_scenario(faults: FaultSampler) -> Scenario {
@@ -73,19 +74,25 @@ fn bench_estimation(c: &mut Criterion) {
 
 fn bench_visit_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("montecarlo/visit_table");
-    let fleet = CyclicExponential::optimal(3, 4, 1)
+    let tours = CyclicExponential::optimal(3, 4, 1)
         .unwrap()
         .fleet_tours(4e3)
         .unwrap();
     group.bench_function("compile_fleet", |b| {
-        b.iter(|| black_box(VisitTable::from_fleet(&fleet).unwrap().num_robots()))
+        b.iter(|| {
+            black_box(
+                CompiledFleet::from_tours(3, 4e3, &tours)
+                    .unwrap()
+                    .num_robots(),
+            )
+        })
     });
-    let table = VisitTable::from_fleet(&fleet).unwrap();
+    let fleet = CompiledFleet::from_tours(3, 4e3, &tours).unwrap();
     group.bench_function("first_visit_query", |b| {
         let mut x = 1.0f64;
         b.iter(|| {
             x = if x > 900.0 { 1.0 } else { x * 1.7 };
-            black_box(table.first_visit(2, 1, x))
+            black_box(fleet.first_visit(2, 1, x))
         })
     });
     group.finish();

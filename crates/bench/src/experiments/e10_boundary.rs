@@ -13,7 +13,8 @@ use raysearch_bounds::c_orc;
 #[cfg(test)]
 use raysearch_bounds::lambda_big;
 use raysearch_core::campaign::{Campaign, ParamGrid};
-use raysearch_core::LineEvaluator;
+use raysearch_core::{CompiledFleet, RayEvaluator};
+use raysearch_sim::LineItinerary;
 use raysearch_strategies::{DoublingCowPath, LineStrategy};
 
 /// One point of the `ρ → 1⁺` series.
@@ -69,7 +70,9 @@ pub fn base_campaign(bases: &[f64], horizon: f64) -> Campaign<BaseRow> {
             let fleet = cow
                 .fleet_itineraries(horizon * 10.0)
                 .expect("valid horizon");
-            let measured = LineEvaluator::new(0, 1.0, horizon)
+            let tours = fleet.iter().map(LineItinerary::to_two_ray_tour);
+            let fleet = CompiledFleet::from_tours(2, horizon * 10.0, tours).expect("two-ray tours");
+            let measured = RayEvaluator::new(2, 0, 1.0, horizon)
                 .expect("valid range")
                 .evaluate(&fleet)
                 .expect("single robot, f = 0")

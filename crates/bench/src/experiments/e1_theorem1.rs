@@ -8,7 +8,8 @@
 
 use raysearch_bounds::{cyclic_ratio, numeric::golden_section_min, LineInstance, Regime};
 use raysearch_core::campaign::{Campaign, ParamGrid};
-use raysearch_core::LineEvaluator;
+use raysearch_core::{CompiledFleet, RayEvaluator};
+use raysearch_sim::LineItinerary;
 use raysearch_strategies::{CyclicExponential, LineStrategy};
 
 /// One row of the E1 table.
@@ -66,7 +67,9 @@ pub fn campaign(max_k: u32, horizon: f64) -> Campaign<Row> {
             let fleet = strategy
                 .fleet_itineraries(horizon * 10.0)
                 .expect("valid horizon");
-            let measured = LineEvaluator::new(f, 1.0, horizon)
+            let tours = fleet.iter().map(LineItinerary::to_two_ray_tour);
+            let fleet = CompiledFleet::from_tours(2, horizon * 10.0, tours).expect("two-ray tours");
+            let measured = RayEvaluator::new(2, f, 1.0, horizon)
                 .expect("valid range")
                 .evaluate(&fleet)
                 .expect("fleet large enough")

@@ -7,7 +7,8 @@
 
 use raysearch_bounds::{LineInstance, Regime};
 use raysearch_core::campaign::{Campaign, ParamGrid};
-use raysearch_core::LineEvaluator;
+use raysearch_core::{CompiledFleet, RayEvaluator};
+use raysearch_sim::LineItinerary;
 use raysearch_strategies::{baselines::TwoWaySaturation, LineStrategy};
 
 /// One cell of the regime map.
@@ -46,8 +47,10 @@ pub fn campaign(max_k: u32) -> Campaign<Row> {
                 Regime::Trivial => {
                     let s = TwoWaySaturation::new(k, f).expect("trivial regime");
                     let fleet = s.fleet_itineraries(500.0).expect("valid horizon");
+                    let tours = fleet.iter().map(LineItinerary::to_two_ray_tour);
+                    let fleet = CompiledFleet::from_tours(2, 500.0, tours).expect("two-ray tours");
                     Some(
-                        LineEvaluator::new(f, 1.0, 400.0)
+                        RayEvaluator::new(2, f, 1.0, 400.0)
                             .expect("valid range")
                             .evaluate(&fleet)
                             .expect("enough robots")

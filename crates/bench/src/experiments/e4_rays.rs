@@ -8,7 +8,7 @@
 
 use raysearch_bounds::{a_line, RayInstance, Regime};
 use raysearch_core::campaign::{Campaign, ParamGrid};
-use raysearch_core::RayEvaluator;
+use raysearch_core::{CompiledFleet, RayEvaluator};
 use raysearch_strategies::{CyclicExponential, RayStrategy};
 
 /// One row of the E4 grid.
@@ -57,6 +57,8 @@ pub fn campaign(max_m: u32, max_k: u32, horizon: f64) -> Campaign<Row> {
             };
             let strategy = CyclicExponential::optimal(m, k, f).expect("searchable");
             let fleet = strategy.fleet_tours(horizon * 10.0).expect("valid horizon");
+            let fleet = CompiledFleet::from_tours(m as usize, horizon * 10.0, &fleet)
+                .expect("tours match the star");
             let measured = RayEvaluator::new(m as usize, f, 1.0, horizon)
                 .expect("valid range")
                 .evaluate(&fleet)

@@ -9,7 +9,7 @@
 
 use raysearch_bounds::{cyclic_ratio, optimal_alpha, RayInstance};
 use raysearch_core::campaign::{Campaign, ParamGrid, ParamValue};
-use raysearch_core::RayEvaluator;
+use raysearch_core::{CompiledFleet, RayEvaluator};
 use raysearch_strategies::{CyclicExponential, RayStrategy};
 
 /// One point of the ratio-vs-α series.
@@ -57,6 +57,8 @@ pub fn campaign(instances: &[(u32, u32, u32)], steps: i32, horizon: f64) -> Camp
             let alpha = 1.0 + (astar - 1.0) * 1.25f64.powi(j);
             let strategy = CyclicExponential::with_alpha(m, k, f, alpha).expect("alpha > 1");
             let fleet = strategy.fleet_tours(horizon * 10.0).expect("valid horizon");
+            let fleet = CompiledFleet::from_tours(m as usize, horizon * 10.0, &fleet)
+                .expect("tours match the star");
             let measured = RayEvaluator::new(m as usize, f, 1.0, horizon)
                 .expect("valid range")
                 .evaluate(&fleet)

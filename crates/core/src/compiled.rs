@@ -2,25 +2,21 @@
 //! times.
 //!
 //! Every consumer of a fleet — the exact evaluator, the tightness
-//! verdict, the Monte-Carlo `VisitTable`, every campaign grid cell —
-//! needs the same derived structure: the per-`(robot, ray)` first-visit
-//! pieces of [`compile_first_visit_pieces`]. That structure depends
-//! only on the fleet's *geometry* (which strategy, how many rays and
-//! robots, the geometric base, the compilation cap), not on the fault
-//! budget `f` being evaluated against it; an η-sweep over `f` at fixed
-//! geometry recompiles nothing.
+//! verdict, the Monte-Carlo engine, every campaign grid cell — walks the
+//! same structure: each robot's first-visit function on each ray, a run
+//! of slope-1 pieces `c + x`. [`CompiledFleet`] is the one place that
+//! structure lives, whichever form the fleet arrived in: linear tours,
+//! log-domain tours, or a line fleet read as two-ray tours
+//! ([`LineItinerary::to_two_ray_tour`](raysearch_sim::LineItinerary::to_two_ray_tour)).
 //!
-//! This module makes the compiled geometry a first-class artifact:
-//!
-//! * [`CompiledFleet`] — the arena-backed artifact: one contiguous
-//!   structure-of-arrays piece store (`starts`/`ends`/`constants` plus
-//!   `ray`/`robot` tags) with `(robot, ray)` span indices, instead of
-//!   `k·m` little `Vec<FirstVisitPiece>`s;
+//! * [`CompiledFleet`] — the arena-backed artifact: one contiguous piece
+//!   arena per ray, holding every robot's pieces on that ray robot by
+//!   robot, with `(robot, ray)` span indices into it;
 //! * [`FleetBuilder`] — streaming construction, one tour at a time,
-//!   through the *same* single-pass compilation the evaluator always
-//!   used (bit-for-bit identical pieces);
-//! * [`FleetKey`] — the memoization key `(strategy, m, k, α-or-η,
-//!   cap)`, deliberately `f`-free;
+//!   written straight into the arenas and truncated at the cap;
+//! * [`optimal_fleet`] — the fleet attaining `A(m, k, f)`, and the one
+//!   place its [`FleetKey`] is chosen;
+//! * [`FleetKey`] — the memoization key `(strategy, m, k, α, cap)`;
 //! * [`CompileCache`] / [`NoCache`] / [`CompileMemo`] — the cache
 //!   seam: callers thread any cache through
 //!   [`evaluate_optimal_cached`](crate::eval::evaluate_optimal_cached)
@@ -28,6 +24,7 @@
 //!   campaign runner and serving layer use, with hit/miss/timing
 //!   counters ([`CompileStats`]).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,25 +32,43 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use raysearch_sim::{LogTourItinerary, TourItinerary};
+use raysearch_bounds::{RayInstance, Regime};
+use raysearch_sim::{LogTourItinerary, RobotId, TourItinerary};
+use raysearch_strategies::{CyclicExponential, RayStrategy, ZonePartition};
 
 use crate::canon::CanonF64;
-use crate::eval::{compile_first_visit_pieces, FirstVisitPiece};
+use crate::eval::check_range;
 use crate::CoreError;
+
+/// One slope-1 piece of a first-visit function: targets in `(lo, hi]`
+/// are first visited at time `c + x`.
+///
+/// `hi = ∞` marks a *straddling* piece compiled from a log-domain tour
+/// whose true right end lies beyond linear `f64`; its `c` is still
+/// exact, and `hi` only ever participates in `x ≤ hi` comparisons.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FirstVisitPiece {
+    /// Left end of the covered interval (exclusive).
+    pub lo: f64,
+    /// Right end of the covered interval (inclusive).
+    pub hi: f64,
+    /// The first-visit constant: twice the turning mass spent before
+    /// the covering leg.
+    pub c: f64,
+}
 
 /// The memoization key of a compiled fleet: everything the piece arenas
 /// depend on, and nothing they don't.
 ///
-/// The key is deliberately **`f`-free**: the cyclic exponential fleet's
-/// excursions are a function of `(m, k, α, cap)` — the fault budget
-/// enters only through the evaluator's order statistic (and through
-/// `α`, when the caller derives `α` from `f`); the zone-partition fleet
-/// is a function of `(m, k, cap)` alone, so trivial-regime cells with
-/// different `f` share one artifact outright.
+/// The key carries no fault budget. The zone-partition fleet is a
+/// function of `(m, k, cap)` alone, so trivial-regime cells with
+/// different `f` share one artifact. The cyclic exponential fleet is a
+/// function of `(m, k, α, cap)`, but the optimal `α` depends on
+/// `(m, k, f)`, so an η-sweep over `f` at fixed `k` compiles one
+/// artifact per `f`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FleetKey {
-    /// A [`CyclicExponential`](raysearch_strategies::CyclicExponential)
-    /// fleet compiled with the given piece cap.
+    /// A [`CyclicExponential`] fleet compiled with the given piece cap.
     Cyclic {
         /// Number of rays.
         m: u32,
@@ -64,8 +79,7 @@ pub enum FleetKey {
         /// The compilation cap (the evaluation range's upper end).
         cap: CanonF64,
     },
-    /// A [`ZonePartition`](raysearch_strategies::ZonePartition) fleet
-    /// whose tours walk out to `cap`.
+    /// A [`ZonePartition`] fleet whose tours walk out to `cap`.
     Zone {
         /// Number of rays.
         m: u32,
@@ -76,41 +90,65 @@ pub enum FleetKey {
     },
 }
 
-/// A compiled fleet: every robot's first-visit pieces on every ray, in
-/// one arena.
+/// A compiled fleet: every robot's first-visit pieces on every ray.
 ///
-/// Storage is a structure of arrays — contiguous `starts`, `ends`,
-/// `constants`, `ray`, `robot` vectors — with the pieces of `(robot,
-/// ray)` occupying the contiguous index range `spans[robot·m + ray]`,
-/// sorted by strictly increasing `lo` within each span. Piece *values*
-/// are bit-for-bit the ones [`compile_first_visit_pieces`] produces, so
-/// every consumer (exact sup, verdict, Monte-Carlo table) answers
-/// identically whether it compiled fresh or pulled the artifact from a
-/// cache.
+/// Storage is one arena per ray: `rays[ray]` holds robot 0's pieces on
+/// that ray, then robot 1's, and so on, and robot `r`'s run is the index
+/// range `spans[r·m + ray]`, sorted by strictly increasing `lo`. A
+/// whole-ray sweep reads one contiguous slice; a `(robot, ray)` lookup
+/// is one binary search inside its span. Pieces are valid for queries
+/// `x ≤ cap`: every piece with `lo < cap` is kept, later ones are not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFleet {
-    m: usize,
     cap: f64,
-    starts: Vec<f64>,
-    ends: Vec<f64>,
-    constants: Vec<f64>,
-    ray: Vec<u32>,
-    robot: Vec<u32>,
-    /// `spans[robot * m + ray] = (first, last+1)` into the arenas.
+    rays: Vec<Vec<FirstVisitPiece>>,
+    /// `spans[robot * m + ray] = (first, last+1)` into `rays[ray]`.
     spans: Vec<(u32, u32)>,
 }
 
 impl CompiledFleet {
+    /// Compiles a whole fleet of linear tours (see
+    /// [`FleetBuilder::push_tour`]). A line fleet enters as two-ray
+    /// tours, ray `0` being the positive side:
+    ///
+    /// ```
+    /// use raysearch_core::{CompiledFleet, RayEvaluator};
+    /// use raysearch_sim::LineItinerary;
+    /// use raysearch_strategies::{DoublingCowPath, LineStrategy};
+    ///
+    /// let cow = DoublingCowPath::classic().fleet_itineraries(1e5)?;
+    /// let fleet =
+    ///     CompiledFleet::from_tours(2, 1e5, cow.iter().map(LineItinerary::to_two_ray_tour))?;
+    /// let report = RayEvaluator::new(2, 0, 1.0, 1e4)?.evaluate(&fleet)?;
+    /// assert!((report.ratio - 9.0).abs() < 1e-3);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetBuilder::new`] and [`FleetBuilder::push_tour`].
+    pub fn from_tours<T: Borrow<TourItinerary>>(
+        m: usize,
+        cap: f64,
+        tours: impl IntoIterator<Item = T>,
+    ) -> Result<Self, CoreError> {
+        let mut builder = FleetBuilder::new(m, cap)?;
+        for tour in tours {
+            builder.push_tour(tour.borrow())?;
+        }
+        Ok(builder.finish())
+    }
+
     /// Number of rays.
     #[inline]
     pub fn num_rays(&self) -> usize {
-        self.m
+        self.rays.len()
     }
 
     /// Number of compiled robots.
     #[inline]
     pub fn num_robots(&self) -> usize {
-        self.spans.len() / self.m
+        self.spans.len() / self.num_rays()
     }
 
     /// The compilation cap: queries are valid for targets `x ≤ cap`.
@@ -120,76 +158,60 @@ impl CompiledFleet {
     }
 
     /// Total pieces across all robots and rays.
-    #[inline]
     pub fn num_pieces(&self) -> usize {
-        self.starts.len()
+        self.rays.iter().map(Vec::len).sum()
     }
 
     /// The pieces of one `(robot, ray)` pair, sorted by strictly
-    /// increasing `lo`, materialized from the arena.
+    /// increasing `lo`.
     ///
     /// # Panics
     ///
     /// Panics if `robot` or `ray` is out of range.
-    pub fn pieces(&self, robot: usize, ray: usize) -> impl Iterator<Item = FirstVisitPiece> + '_ {
-        assert!(ray < self.m, "ray {ray} out of range for m = {}", self.m);
-        let (a, b) = self.spans[robot * self.m + ray];
-        (a as usize..b as usize).map(|i| FirstVisitPiece {
-            lo: self.starts[i],
-            hi: self.ends[i],
-            c: self.constants[i],
-        })
+    #[inline]
+    pub fn pieces(&self, robot: usize, ray: usize) -> &[FirstVisitPiece] {
+        let m = self.num_rays();
+        assert!(ray < m, "ray {ray} out of range for m = {m}");
+        let (a, b) = self.spans[robot * m + ray];
+        &self.rays[ray][a as usize..b as usize]
     }
 
-    /// The arena index range of one `(robot, ray)` pair.
-    #[inline]
-    fn span(&self, robot: usize, ray: usize) -> (usize, usize) {
-        let (a, b) = self.spans[robot * self.m + ray];
-        (a as usize, b as usize)
+    /// Every robot's pieces on `ray`, robot by robot: the multiset the
+    /// evaluator's event sweep runs over.
+    pub(crate) fn ray_pieces(&self, ray: usize) -> &[FirstVisitPiece] {
+        &self.rays[ray]
     }
 
     /// First-visit time of `robot` to a target at distance `x` on
     /// `ray`, or `None` if the robot's compiled plan never reaches it —
-    /// one binary search on the `(robot, ray)` span, bit-identical to
-    /// the evaluator's piece lookup.
+    /// one binary search on the `(robot, ray)` span.
     ///
     /// # Panics
     ///
     /// Panics if `robot` or `ray` is out of range.
     #[inline]
     pub fn first_visit(&self, robot: usize, ray: usize, x: f64) -> Option<f64> {
-        let (a, b) = self.span(robot, ray);
-        let starts = &self.starts[a..b];
-        let idx = starts.partition_point(|&lo| lo < x);
-        if idx == 0 {
-            return None;
-        }
-        let i = a + idx - 1;
-        (x <= self.ends[i]).then(|| self.constants[i] + x)
+        let pieces = self.pieces(robot, ray);
+        let idx = pieces.partition_point(|p| p.lo < x);
+        let p = &pieces[idx.checked_sub(1)?];
+        (x <= p.hi).then_some(p.c + x)
     }
 
-    /// Folds every piece of one ray (across all robots, robot-major
-    /// order) into `visit` as `(lo, hi, c)` — the flat iteration the
-    /// event-sweep sup and boundary enumerations are built on.
-    pub(crate) fn for_each_piece_on_ray(&self, ray: usize, mut visit: impl FnMut(f64, f64, f64)) {
-        for robot in 0..self.num_robots() {
-            let (a, b) = self.span(robot, ray);
-            for i in a..b {
-                visit(self.starts[i], self.ends[i], self.constants[i]);
-            }
-        }
-    }
-
-    /// The per-piece ray tags (parallel to the arenas).
-    #[inline]
-    pub fn ray_tags(&self) -> &[u32] {
-        &self.ray
-    }
-
-    /// The per-piece robot tags (parallel to the arenas).
-    #[inline]
-    pub fn robot_tags(&self) -> &[u32] {
-        &self.robot
+    /// All piece boundaries on `ray` strictly inside `(lo, hi)`, sorted
+    /// and deduplicated: the exact adversary's candidate targets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ray` is out of range.
+    pub fn boundaries_on_ray(&self, ray: usize, lo: f64, hi: f64) -> Vec<f64> {
+        let mut bs: Vec<f64> = self.rays[ray]
+            .iter()
+            .flat_map(|p| [p.lo, p.hi])
+            .filter(|&b| b > lo && b < hi)
+            .collect();
+        bs.sort_by(f64::total_cmp);
+        bs.dedup();
+        bs
     }
 }
 
@@ -239,91 +261,111 @@ impl FleetBuilder {
         }
         Ok(FleetBuilder {
             fleet: CompiledFleet {
-                m,
                 cap,
-                starts: Vec::new(),
-                ends: Vec::new(),
-                constants: Vec::new(),
-                ray: Vec::new(),
-                robot: Vec::new(),
+                rays: vec![Vec::new(); m],
                 spans: Vec::new(),
             },
         })
     }
 
-    /// Appends the per-ray piece vectors of one robot to the arenas.
-    fn push_compiled(&mut self, per_ray: Vec<Vec<FirstVisitPiece>>) {
-        let robot = self.fleet.num_robots() as u32;
-        for (ray, pieces) in per_ray.into_iter().enumerate() {
-            let start = self.fleet.starts.len() as u32;
-            for p in pieces {
-                self.fleet.starts.push(p.lo);
-                self.fleet.ends.push(p.hi);
-                self.fleet.constants.push(p.c);
-                self.fleet.ray.push(ray as u32);
-                self.fleet.robot.push(robot);
-            }
-            self.fleet
-                .spans
-                .push((start, self.fleet.starts.len() as u32));
-        }
+    /// Compiles one robot's linear tour and appends it (truncated at
+    /// the cap, like [`FleetBuilder::push_log_tour`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetBuilder::push_log_tour`].
+    pub fn push_tour(&mut self, tour: &TourItinerary) -> Result<(), CoreError> {
+        let excursions = tour.excursions().iter();
+        self.push_robot(tour.num_rays(), excursions.map(|e| (e.ray.index(), e.turn)))
     }
 
-    /// Compiles one robot's log-domain tour (truncated at the builder's
-    /// cap) through [`compile_first_visit_pieces`] and appends it.
+    /// Compiles one robot's log-domain tour and appends it.
+    ///
+    /// Turns are extracted to linear `f64` one excursion at a time, so
+    /// the pieces are bit-identical to those of the linear tour wherever
+    /// that tour exists. The overflowing post-horizon padding tail of a
+    /// large fleet is never materialized: compilation stops once every
+    /// ray has its straddling piece.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if the tour's ray count
     /// disagrees with the builder's, or a first-visit constant within
-    /// the cap overflows `f64`.
+    /// the cap overflows `f64` — at caps within a factor `α^(k·m)` of
+    /// `f64::MAX`, the turning mass ahead of a straddling leg can exceed
+    /// linear range, and answering with a saturated `∞` would be a
+    /// silent wrong answer. A failed push leaves the builder as it was.
     pub fn push_log_tour(&mut self, tour: &LogTourItinerary) -> Result<(), CoreError> {
-        if tour.num_rays() != self.fleet.m {
-            return Err(CoreError::invalid(format!(
-                "tour is for {} rays, builder expects {}",
-                tour.num_rays(),
-                self.fleet.m
-            )));
-        }
-        let per_ray = compile_first_visit_pieces(tour, self.fleet.cap)?;
-        self.push_compiled(per_ray);
-        Ok(())
+        let excursions = tour.excursions().iter();
+        self.push_robot(
+            tour.num_rays(),
+            excursions.map(|e| (e.ray.index(), e.turn.to_f64())),
+        )
     }
 
-    /// Compiles one robot's linear tour and appends it — the exact
-    /// mirror of the evaluator's historical per-ray construction (no
-    /// cap truncation, so a finite tour compiles in full), in one pass
-    /// over the excursions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the tour's ray count
-    /// disagrees with the builder's.
-    pub fn push_tour(&mut self, tour: &TourItinerary) -> Result<(), CoreError> {
-        if tour.num_rays() != self.fleet.m {
+    /// The piece compiler: one pass over a robot's `(ray, turn)`
+    /// excursions. A piece opens whenever an excursion pushes past the
+    /// furthest distance the robot has reached on that ray, and its
+    /// constant is twice the turning mass spent before that leg. Only
+    /// pieces with `lo < cap` are kept — the only ones a query in
+    /// `(0, cap]` can consult — and the pass ends once every ray has
+    /// reached the cap. It is a single pass because a per-ray scan would
+    /// walk the `O(m·f)`-excursion tour `m` times.
+    fn push_robot(
+        &mut self,
+        num_rays: usize,
+        excursions: impl Iterator<Item = (usize, f64)>,
+    ) -> Result<(), CoreError> {
+        let CompiledFleet { cap, rays, spans } = &mut self.fleet;
+        let (cap, m) = (*cap, rays.len());
+        if num_rays != m {
             return Err(CoreError::invalid(format!(
-                "tour is for {} rays, builder expects {}",
-                tour.num_rays(),
-                self.fleet.m
+                "tour is for {num_rays} rays, builder expects {m}"
             )));
         }
-        let m = self.fleet.m;
-        let mut per_ray: Vec<Vec<FirstVisitPiece>> = vec![Vec::new(); m];
-        let mut reach = vec![0.0f64; m];
+        let base = spans.len();
+        spans.extend(
+            rays.iter()
+                .map(|arena| (arena.len() as u32, arena.len() as u32)),
+        );
+        let mut open = m;
         let mut prefix = 0.0f64;
-        for e in tour.excursions() {
-            let ray = e.ray.index();
-            if e.turn > reach[ray] {
-                per_ray[ray].push(FirstVisitPiece {
-                    lo: reach[ray],
-                    hi: e.turn,
-                    c: 2.0 * prefix,
+        for (ray, turn) in excursions {
+            let arena = &mut rays[ray];
+            let span = &mut spans[base + ray];
+            let reach = if span.0 == span.1 {
+                0.0
+            } else {
+                arena[span.1 as usize - 1].hi
+            };
+            if reach < cap && turn > reach {
+                let c = 2.0 * prefix;
+                if !c.is_finite() {
+                    for (arena, &(start, _)) in rays.iter_mut().zip(&spans[base..]) {
+                        arena.truncate(start as usize);
+                    }
+                    spans.truncate(base);
+                    return Err(CoreError::invalid(format!(
+                        "first-visit constant on ray {ray} overflows f64 within the \
+                         evaluation cap {cap:e}: the horizon is too deep for this \
+                         fleet's turning-point growth"
+                    )));
+                }
+                arena.push(FirstVisitPiece {
+                    lo: reach,
+                    hi: turn,
+                    c,
                 });
-                reach[ray] = e.turn;
+                span.1 += 1;
+                if turn >= cap {
+                    open -= 1;
+                    if open == 0 {
+                        break;
+                    }
+                }
             }
-            prefix += e.turn;
+            prefix += turn;
         }
-        self.push_compiled(per_ray);
         Ok(())
     }
 
@@ -331,6 +373,66 @@ impl FleetBuilder {
     pub fn finish(self) -> CompiledFleet {
         self.fleet
     }
+}
+
+/// The fleet attaining `A(m, k, f)`, compiled through `cache` for
+/// targets in `[1, horizon]`. This is the one place the optimal fleet's
+/// [`FleetKey`] is chosen; evaluations, verdicts and Monte-Carlo runs of
+/// the same instance and horizon all fetch the same artifact.
+///
+/// * Searchable regime `f < k < m(f+1)`: the [`CyclicExponential`]
+///   fleet, keyed `Cyclic { m, k, α, cap: horizon }` and compiled from
+///   bounded log-domain tour prefixes, so no turn point is ever
+///   materialized in linear space and fleets of thousands of robots
+///   compile at deep horizons.
+/// * Trivial regime `k ≥ m(f+1)`: the saturating [`ZonePartition`],
+///   keyed `Zone { m, k, cap: 4·horizon }`; its tours depend only on
+///   `(m, k, cap)`, so every `f` shares the artifact.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidInput`] unless `horizon > 1`, and the
+/// substrates' errors for an invalid or impossible `(m, k, f)` or a
+/// failed build (which `cache` does not keep).
+pub fn optimal_fleet<C: CompileCache>(
+    cache: &C,
+    m: u32,
+    k: u32,
+    f: u32,
+    horizon: f64,
+) -> Result<Arc<CompiledFleet>, CoreError> {
+    check_range(1.0, horizon)?;
+    if RayInstance::new(m, k, f)?.regime() == Regime::Trivial {
+        // padded so every target in range lies strictly inside the
+        // zone walkers' covered territory
+        let padded = horizon * 4.0;
+        let key = FleetKey::Zone {
+            m,
+            k,
+            cap: CanonF64::new(padded)?,
+        };
+        return cache.get_or_compile(key, &mut || {
+            let tours = ZonePartition::new(m, k, f)?.fleet_tours(padded)?;
+            CompiledFleet::from_tours(m as usize, padded, &tours)
+        });
+    }
+    // searchable — or impossible, which the strategy constructor rejects
+    let strategy = CyclicExponential::optimal(m, k, f)?;
+    let key = FleetKey::Cyclic {
+        m,
+        k,
+        alpha: CanonF64::new(strategy.alpha())?,
+        cap: CanonF64::new(horizon)?,
+    };
+    cache.get_or_compile(key, &mut || {
+        // one bounded tour prefix at a time: peak memory stays
+        // independent of the post-horizon padding tail
+        let mut builder = FleetBuilder::new(m as usize, horizon)?;
+        for r in 0..k as usize {
+            builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), horizon)?)?;
+        }
+        Ok(builder.finish())
+    })
 }
 
 /// The cache seam of the compilation layer: anything that can answer
@@ -531,8 +633,6 @@ impl<C: CompileCache + ?Sized> CompileCache for Arc<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raysearch_sim::RobotId;
-    use raysearch_strategies::{CyclicExponential, RayStrategy, ZonePartition};
 
     fn cyclic_fleet(cap: f64) -> CompiledFleet {
         let s = CyclicExponential::optimal(3, 4, 1).unwrap();
@@ -561,6 +661,7 @@ mod tests {
             .unwrap()
             .remove(0);
         assert!(b.push_tour(&three_ray_linear).is_err());
+        assert!(CompiledFleet::from_tours(2, 10.0, [three_ray_linear]).is_err());
     }
 
     #[test]
@@ -573,12 +674,15 @@ mod tests {
         assert_eq!(fleet.cap(), cap);
         for r in 0..4usize {
             // the reference path: the full padded tour, compiled fresh
-            let tour = s.log_tour(RobotId(r), cap * 4.0).unwrap();
-            let fresh = compile_first_visit_pieces(&tour, cap).unwrap();
-            for (ray, fresh_ray) in fresh.iter().enumerate() {
-                let arena: Vec<FirstVisitPiece> = fleet.pieces(r, ray).collect();
-                assert_eq!(arena.len(), fresh_ray.len(), "robot {r}, ray {ray}");
-                for (a, b) in arena.iter().zip(fresh_ray) {
+            let mut fresh = FleetBuilder::new(3, cap).unwrap();
+            fresh
+                .push_log_tour(&s.log_tour(RobotId(r), cap * 4.0).unwrap())
+                .unwrap();
+            let fresh = fresh.finish();
+            for ray in 0..3 {
+                let (arena, fresh) = (fleet.pieces(r, ray), fresh.pieces(0, ray));
+                assert_eq!(arena.len(), fresh.len(), "robot {r}, ray {ray}");
+                for (a, b) in arena.iter().zip(fresh) {
                     assert_eq!(a.lo.to_bits(), b.lo.to_bits());
                     assert_eq!(a.hi.to_bits(), b.hi.to_bits());
                     assert_eq!(a.c.to_bits(), b.c.to_bits());
@@ -588,21 +692,17 @@ mod tests {
     }
 
     #[test]
-    fn tags_are_parallel_to_the_arenas() {
+    fn spans_tile_each_ray_arena_robot_by_robot() {
         let fleet = cyclic_fleet(200.0);
-        assert_eq!(fleet.ray_tags().len(), fleet.num_pieces());
-        assert_eq!(fleet.robot_tags().len(), fleet.num_pieces());
-        let mut seen = 0usize;
-        for robot in 0..fleet.num_robots() {
-            for ray in 0..fleet.num_rays() {
-                for _ in fleet.pieces(robot, ray) {
-                    assert_eq!(fleet.ray_tags()[seen] as usize, ray);
-                    assert_eq!(fleet.robot_tags()[seen] as usize, robot);
-                    seen += 1;
-                }
-            }
+        let mut total = 0;
+        for ray in 0..fleet.num_rays() {
+            let tiled: Vec<FirstVisitPiece> = (0..fleet.num_robots())
+                .flat_map(|robot| fleet.pieces(robot, ray).iter().copied())
+                .collect();
+            assert_eq!(tiled, fleet.ray_pieces(ray), "ray {ray}");
+            total += tiled.len();
         }
-        assert_eq!(seen, fleet.num_pieces());
+        assert_eq!(total, fleet.num_pieces());
     }
 
     #[test]
@@ -613,6 +713,7 @@ mod tests {
                 for &x in &[0.5, 1.0, 7.3, 41.0, 499.0] {
                     let by_scan = fleet
                         .pieces(robot, ray)
+                        .iter()
                         .find(|p| p.lo < x && x <= p.hi)
                         .map(|p| p.c + x);
                     assert_eq!(
@@ -621,11 +722,54 @@ mod tests {
                         "robot {robot}, ray {ray}, x {x}"
                     );
                 }
-                // past the cap: the compiled plan's straddling piece
-                // still answers (hi may exceed cap) or yields None
+                // no plan covers distance 0 itself, and pieces past the
+                // cap's straddling one were never compiled
                 assert_eq!(fleet.first_visit(robot, ray, 0.0), None);
+                assert_eq!(fleet.first_visit(robot, ray, 1e12), None);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ray 2 out of range for m = 2")]
+    fn first_visit_panics_on_out_of_range_ray() {
+        let s = CyclicExponential::optimal(2, 3, 1).unwrap();
+        let mut b = FleetBuilder::new(2, 100.0).unwrap();
+        for r in 0..3 {
+            b.push_log_tour(&s.log_tour_prefix(RobotId(r), 100.0).unwrap())
+                .unwrap();
+        }
+        b.finish().first_visit(0, 2, 5.0);
+    }
+
+    #[test]
+    fn boundaries_are_sorted_in_range() {
+        let fleet = cyclic_fleet(500.0);
+        let bs = fleet.boundaries_on_ray(0, 1.0, 400.0);
+        assert!(!bs.is_empty());
+        assert!(bs.windows(2).all(|w| w[0] < w[1]));
+        assert!(bs.iter().all(|&b| b > 1.0 && b < 400.0));
+    }
+
+    #[test]
+    fn overflowing_push_leaves_the_builder_unchanged() {
+        // at a cap this close to f64::MAX the turning mass ahead of the
+        // straddling leg no longer fits in linear f64
+        let cap = f64::MAX / 8.0;
+        let s = CyclicExponential::optimal(2, 149, 74).unwrap();
+        let mut b = FleetBuilder::new(2, cap).unwrap();
+        let mut pushed = 0;
+        let err = (0..149)
+            .find_map(|r| {
+                let before = b.fleet.clone();
+                let result = b.push_log_tour(&s.log_tour_prefix(RobotId(r), cap).unwrap());
+                pushed += usize::from(result.is_ok());
+                result.err().map(|e| (e, before))
+            })
+            .expect("some robot's constant overflows");
+        assert!(err.0.to_string().contains("overflows f64"), "{}", err.0);
+        assert_eq!(b.fleet, err.1, "the failed robot left no pieces behind");
+        assert_eq!(b.finish().num_robots(), pushed);
     }
 
     #[test]
@@ -634,20 +778,33 @@ mod tests {
             .unwrap()
             .fleet_tours(100.0)
             .unwrap();
-        let mut b = FleetBuilder::new(2, 100.0).unwrap();
-        for t in &tours {
-            b.push_tour(t).unwrap();
-        }
-        let fleet = b.finish();
+        let fleet = CompiledFleet::from_tours(2, 100.0, &tours).unwrap();
         assert_eq!(fleet.num_robots(), 4);
         // zone walkers go straight out: one piece on their own ray
         for (robot, tour) in tours.iter().enumerate() {
             let own_ray = tour.excursions()[0].ray.index();
             for ray in 0..2usize {
-                let n = fleet.pieces(robot, ray).count();
+                let n = fleet.pieces(robot, ray).len();
                 assert_eq!(n, usize::from(ray == own_ray), "robot {robot}, ray {ray}");
             }
         }
+    }
+
+    #[test]
+    fn optimal_fleet_keys_share_zones_across_f_but_not_cyclic_fleets() {
+        let memo = CompileMemo::new();
+        // searchable: α depends on f, so every f compiles its own fleet
+        for f in [4u32, 5, 6] {
+            optimal_fleet(&memo, 2, 8, f, 1e4).unwrap();
+        }
+        assert_eq!((memo.stats().misses, memo.stats().hits), (3, 0));
+        // trivial: the zone partition ignores f
+        for f in [1u32, 2, 3] {
+            optimal_fleet(&memo, 2, 64, f, 1e4).unwrap();
+        }
+        assert_eq!((memo.stats().misses, memo.stats().hits), (4, 2));
+        assert!(optimal_fleet(&memo, 2, 3, 3, 1e4).is_err(), "impossible");
+        assert!(optimal_fleet(&memo, 2, 3, 1, 1.0).is_err(), "empty range");
     }
 
     #[test]

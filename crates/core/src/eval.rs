@@ -1,7 +1,7 @@
 //! Exact competitive-ratio evaluation against the crash adversary.
 //!
 //! For a fleet given by turning-point plans, each robot's first-visit time
-//! to a target at distance `x` on a fixed side/ray is piecewise of the form
+//! to a target at distance `x` on a fixed ray is piecewise of the form
 //! `c + x`: between two consecutive "new territory" turning points the
 //! covering leg is fixed and `c` is twice the total turning mass before
 //! that leg. The adversarial detection time is the `(f+1)`-st order
@@ -11,176 +11,14 @@
 //! boundaries. The evaluator therefore computes the exact supremum by
 //! enumerating boundaries; nothing is sampled.
 //!
-//! This is the measurement side of the paper: running it on the
-//! [`CyclicExponential`] strategy
-//! reproduces `Λ(q/k)` to floating-point accuracy (experiments E1/E4/E5).
+//! The pieces come from one place, a [`CompiledFleet`]; the line is the
+//! two-ray case. This is the measurement side of the paper: running it
+//! on the [`CyclicExponential`](raysearch_strategies::CyclicExponential)
+//! strategy reproduces `Λ(q/k)` to floating-point accuracy (experiments
+//! E1/E4/E5).
 
-use raysearch_bounds::{RayInstance, Regime};
-use raysearch_sim::{Direction, LineItinerary, LogTourItinerary, RobotId, TourItinerary};
-use raysearch_strategies::{CyclicExponential, RayStrategy, ZonePartition};
-
-use crate::canon::CanonF64;
-use crate::compiled::{CompileCache, CompiledFleet, FleetBuilder, FleetKey, NoCache};
+use crate::compiled::{optimal_fleet, CompileCache, CompiledFleet, FirstVisitPiece, NoCache};
 use crate::CoreError;
-
-/// One slope-1 piece of a first-visit function: targets in `(lo, hi]`
-/// are first visited at time `c + x`.
-///
-/// `hi = ∞` marks a *straddling* piece compiled from a log-domain tour
-/// whose true right end lies beyond linear `f64`; its `c` is still
-/// exact, and `hi` only ever participates in `x ≤ hi` comparisons.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FirstVisitPiece {
-    /// Left end of the covered interval (exclusive).
-    pub lo: f64,
-    /// Right end of the covered interval (inclusive).
-    pub hi: f64,
-    /// The first-visit constant: twice the turning mass spent before
-    /// the covering leg.
-    pub c: f64,
-}
-
-/// Compiles the per-ray first-visit pieces of one log-domain tour in a
-/// single pass, each ray truncated at `cap`: element `r` of the result
-/// is ray `r`'s pieces, sorted by strictly increasing `lo`.
-///
-/// This is the *one* compilation shared by the exact evaluator and
-/// `raysearch-mc`'s `VisitTable` (their documented bit-for-bit
-/// agreement rests on it). Pieces are extracted to linear `f64` one
-/// excursion at a time, so the construction is bit-identical to a
-/// linear-tour compilation for every piece whose `lo` is below `cap` —
-/// and those are the only pieces a query in `(0, cap]` can consult
-/// (both boundary enumeration and constant lookups need `lo < x`). The
-/// overflowing post-horizon padding tail of a large fleet is never
-/// materialized: iteration ends once every ray has its straddling
-/// piece. The single pass matters: a per-ray scan would walk the
-/// `O(m·f)`-excursion tour `m` times, turning many-ray instances
-/// quadratic in `m`.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] if `cap` is not positive and
-/// finite, or if a piece *constant* inside the cap overflows `f64` —
-/// at caps within a factor `α^(k·m)` of `f64::MAX`, the turning mass
-/// ahead of a straddling leg can exceed linear range, and answering
-/// with a saturated `∞` would be the silent wrong answer this pipeline
-/// exists to eliminate.
-pub fn compile_first_visit_pieces(
-    tour: &LogTourItinerary,
-    cap: f64,
-) -> Result<Vec<Vec<FirstVisitPiece>>, CoreError> {
-    if !(cap.is_finite() && cap > 0.0) {
-        return Err(CoreError::invalid(format!(
-            "piece cap must be positive and finite, got {cap}"
-        )));
-    }
-    let m = tour.num_rays();
-    let mut pieces: Vec<Vec<FirstVisitPiece>> = vec![Vec::new(); m];
-    let mut reach = vec![0.0f64; m];
-    let mut open = m;
-    let mut prefix = 0.0f64;
-    for e in tour.excursions() {
-        if open == 0 {
-            break;
-        }
-        let turn = e.turn.to_f64();
-        let ray = e.ray.index();
-        if reach[ray] < cap && turn > reach[ray] {
-            let c = 2.0 * prefix;
-            if !c.is_finite() {
-                return Err(CoreError::invalid(format!(
-                    "first-visit constant on ray {ray} overflows f64 within the \
-                     evaluation cap {cap:e}: the horizon is too deep for this \
-                     fleet's turning-point growth"
-                )));
-            }
-            pieces[ray].push(FirstVisitPiece {
-                lo: reach[ray],
-                hi: turn,
-                c,
-            });
-            reach[ray] = turn;
-            if reach[ray] >= cap {
-                open -= 1;
-            }
-        }
-        prefix += turn;
-    }
-    Ok(pieces)
-}
-
-/// The first-visit function of one robot on one side/ray.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Pieces {
-    /// Sorted by `lo`; `lo` values strictly increase and intervals are
-    /// disjoint by construction.
-    pieces: Vec<FirstVisitPiece>,
-}
-
-impl Pieces {
-    /// Builds the pieces for a line itinerary on the given side.
-    fn from_line(itinerary: &LineItinerary, side: Direction) -> Pieces {
-        let mut pieces = Vec::new();
-        let mut reach = 0.0f64; // furthest distance visited on `side`
-        let mut prefix = 0.0f64; // sum of turn magnitudes before current leg
-        for (i, signed) in itinerary.signed_turns().enumerate() {
-            let magnitude = signed.abs();
-            let on_side = (signed > 0.0) == (side == Direction::Positive);
-            if on_side && magnitude > reach {
-                pieces.push(FirstVisitPiece {
-                    lo: reach,
-                    hi: magnitude,
-                    c: 2.0 * prefix,
-                });
-                reach = magnitude;
-            }
-            let _ = i;
-            prefix += magnitude;
-        }
-        Pieces { pieces }
-    }
-
-    /// Builds the pieces for a tour on the given ray.
-    fn from_tour(tour: &TourItinerary, ray: usize) -> Pieces {
-        let mut pieces = Vec::new();
-        let mut reach = 0.0f64;
-        let mut prefix = 0.0f64;
-        for e in tour.excursions() {
-            if e.ray.index() == ray && e.turn > reach {
-                pieces.push(FirstVisitPiece {
-                    lo: reach,
-                    hi: e.turn,
-                    c: 2.0 * prefix,
-                });
-                reach = e.turn;
-            }
-            prefix += e.turn;
-        }
-        Pieces { pieces }
-    }
-
-    /// Builds the pieces of *every* ray for a log-domain tour in one
-    /// pass via [`compile_first_visit_pieces`] (see there for the
-    /// truncation and bit-compatibility guarantees).
-    fn per_ray_from_log_tour(tour: &LogTourItinerary, cap: f64) -> Result<Vec<Pieces>, CoreError> {
-        Ok(compile_first_visit_pieces(tour, cap)?
-            .into_iter()
-            .map(|pieces| Pieces { pieces })
-            .collect())
-    }
-
-    /// The first-visit constant for a target at `x` (`lo < x ≤ hi`), or
-    /// `None` if the plan never reaches `x`.
-    fn constant_at(&self, x: f64) -> Option<f64> {
-        // binary search on lo
-        let idx = self.pieces.partition_point(|p| p.lo < x);
-        if idx == 0 {
-            return None;
-        }
-        let p = &self.pieces[idx - 1];
-        (x <= p.hi).then_some(p.c)
-    }
-}
 
 /// The target realizing (in the limit) the worst-case ratio.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -221,17 +59,17 @@ impl EvalReport {
 
 /// Evaluates the *optimal* strategy for the instance `(m, k, f)` exactly
 /// over targets in `[1, horizon]`: builds the fleet that attains
-/// `A(m, k, f)` and measures its worst-case ratio against the crash
-/// adversary.
+/// `A(m, k, f)` ([`optimal_fleet`]) and measures its worst-case ratio
+/// against the crash adversary.
 ///
 /// In the searchable regime `f < k < m(f+1)` the fleet is the cyclic
-/// exponential strategy, generated and evaluated through the log-domain
-/// pipeline — turn points are never materialized in linear space, so
-/// fleets of thousands of robots at deep horizons evaluate to finite
-/// ratios (the linear pipeline overflowed to an error from `k ≈ 139`).
-/// In the trivial regime `k ≥ m(f+1)` the fleet is the saturating
-/// [`ZonePartition`] (ratio exactly 1, matching
-/// [`Regime::Trivial`](raysearch_bounds::Regime)).
+/// exponential strategy, compiled from log-domain tours — turn points are
+/// never materialized in linear space, so fleets of thousands of robots
+/// at deep horizons evaluate to finite ratios (the linear pipeline
+/// overflowed to an error from `k ≈ 139`). In the trivial regime
+/// `k ≥ m(f+1)` the fleet is the saturating
+/// [`ZonePartition`](raysearch_strategies::ZonePartition) (ratio exactly
+/// 1, matching [`Regime::Trivial`](raysearch_bounds::Regime)).
 ///
 /// This is the public one-shot entry point the serving layer memoizes:
 /// the whole computation is a pure function of `(m, k, f, horizon)`, so
@@ -270,10 +108,12 @@ pub fn evaluate_optimal(m: u32, k: u32, f: u32, horizon: f64) -> Result<EvalRepo
 }
 
 /// [`evaluate_optimal`] with an explicit compile cache: the fleet's
-/// compiled artifact is fetched through `cache` (keyed by its `f`-free
-/// [`FleetKey`]), so repeated evaluations over shared geometry — an
-/// η-sweep at fixed `k`, a service answering many `f`s, a verdict
-/// following an evaluation — compile once.
+/// compiled artifact is fetched through `cache` under the key
+/// [`optimal_fleet`] chooses, so work on one geometry — the same
+/// instance asked for again, a verdict or Monte-Carlo run at the same
+/// horizon, trivial-regime cells that differ only in `f` — compiles
+/// once. Searchable cells that differ in `f` do not share an artifact:
+/// the optimal `α` depends on `f`.
 ///
 /// The report is bit-identical to [`evaluate_optimal`]'s for every
 /// `(m, k, f, horizon)` regardless of the cache's hit pattern: the
@@ -289,55 +129,16 @@ pub fn evaluate_optimal_cached<C: CompileCache>(
     f: u32,
     horizon: f64,
 ) -> Result<EvalReport, CoreError> {
-    // the fleet prefix must extend past the horizon so every target in
-    // range lies strictly inside covered territory; validate *before*
-    // the padding multiplications can turn a finite horizon into inf
-    // (4x for the fleet, a further 2x inside the zone-partition tours)
+    // validate *before* the zone fleet's padding multiplications can
+    // turn a finite horizon into inf
     if !(horizon.is_finite() && horizon <= f64::MAX / 8.0) {
         return Err(CoreError::HorizonOverflow { horizon });
     }
-    let padded = horizon * 4.0;
-    let instance = RayInstance::new(m, k, f)?;
-    if instance.regime() == Regime::Trivial {
-        // the zone-partition tours depend only on (m, k, cap): every
-        // trivial-regime f shares one artifact
-        let key = FleetKey::Zone {
-            m,
-            k,
-            cap: CanonF64::new(padded)?,
-        };
-        let fleet = cache.get_or_compile(key, &mut || {
-            let tours = ZonePartition::new(m, k, f)?.fleet_tours(padded)?;
-            let mut builder = FleetBuilder::new(m as usize, padded)?;
-            for tour in &tours {
-                builder.push_tour(tour)?;
-            }
-            Ok(builder.finish())
-        })?;
-        return RayEvaluator::new(m as usize, f, 1.0, horizon)?.evaluate_compiled(&fleet);
-    }
-    // searchable — or impossible, which the strategy constructor rejects
-    let strategy = CyclicExponential::optimal(m, k, f)?;
-    let evaluator = RayEvaluator::new(m as usize, f, 1.0, horizon)?;
-    let key = FleetKey::Cyclic {
-        m,
-        k,
-        alpha: CanonF64::new(strategy.alpha())?,
-        cap: CanonF64::new(horizon)?,
-    };
-    let fleet = cache.get_or_compile(key, &mut || {
-        // one bounded tour prefix at a time: peak memory stays
-        // independent of the post-horizon padding tail
-        let mut builder = FleetBuilder::new(m as usize, horizon)?;
-        for r in 0..k as usize {
-            builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), horizon)?)?;
-        }
-        Ok(builder.finish())
-    })?;
-    evaluator.evaluate_compiled(&fleet)
+    let fleet = optimal_fleet(cache, m, k, f, horizon)?;
+    RayEvaluator::new(m as usize, f, 1.0, horizon)?.evaluate(&fleet)
 }
 
-fn check_range(lo: f64, hi: f64) -> Result<(), CoreError> {
+pub(crate) fn check_range(lo: f64, hi: f64) -> Result<(), CoreError> {
     if !(lo.is_finite() && hi.is_finite() && 1.0 <= lo && lo < hi) {
         return Err(CoreError::invalid(format!(
             "evaluation range must satisfy 1 <= lo < hi, got [{lo}, {hi}]"
@@ -346,7 +147,7 @@ fn check_range(lo: f64, hi: f64) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Mutable state threaded through the per-domain sup computations: the
+/// Mutable state threaded through the per-ray sup computations: the
 /// running worst target, the first uncovered witness, and the breakpoint
 /// count.
 #[derive(Debug, Default)]
@@ -370,18 +171,6 @@ impl SupAccum {
             num_breakpoints: self.examined,
         }
     }
-}
-
-/// Core sup computation over one domain (side or ray) given per-robot
-/// piece functions: flattens the lists and delegates to the event-sweep
-/// engine (robot identity is irrelevant to the order statistic, so the
-/// sweep never needs to know which piece came from whom).
-fn sup_over_domain(per_robot: &[Pieces], f: u32, lo: f64, hi: f64, ray: usize, acc: &mut SupAccum) {
-    let mut flat: Vec<FirstVisitPiece> = Vec::new();
-    for p in per_robot {
-        flat.extend_from_slice(&p.pieces);
-    }
-    sup_over_flat_pieces(&flat, f, lo, hi, ray, acc);
 }
 
 /// A Fenwick (binary indexed) tree of counts over compressed constant
@@ -521,111 +310,17 @@ fn sup_over_flat_pieces(
     }
 }
 
-/// Exact evaluator for line fleets.
+/// Exact evaluator for `m`-ray fleets; the line is `m = 2`, with ray `0`
+/// the positive side.
 ///
 /// # Example
 ///
 /// ```
-/// use raysearch_core::LineEvaluator;
-/// use raysearch_strategies::{DoublingCowPath, LineStrategy};
-///
-/// let cow = DoublingCowPath::classic();
-/// let fleet = cow.fleet_itineraries(1e5)?;
-/// let report = LineEvaluator::new(0, 1.0, 1e4)?.evaluate(&fleet)?;
-/// assert!((report.ratio - 9.0).abs() < 1e-3);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineEvaluator {
-    f: u32,
-    lo: f64,
-    hi: f64,
-}
-
-impl LineEvaluator {
-    /// Creates an evaluator for `f` crash faults over targets
-    /// `lo ≤ |x| ≤ hi`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] unless `1 ≤ lo < hi`, both
-    /// finite.
-    pub fn new(f: u32, lo: f64, hi: f64) -> Result<Self, CoreError> {
-        check_range(lo, hi)?;
-        Ok(LineEvaluator { f, lo, hi })
-    }
-
-    /// Evaluates the exact worst-case ratio of a fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the fleet has fewer than
-    /// `f+1` robots.
-    pub fn evaluate(&self, fleet: &[LineItinerary]) -> Result<EvalReport, CoreError> {
-        if fleet.len() <= self.f as usize {
-            return Err(CoreError::invalid(format!(
-                "need more than f = {} robots, got {}",
-                self.f,
-                fleet.len()
-            )));
-        }
-        let mut acc = SupAccum::default();
-        for (ray, side) in [(0, Direction::Positive), (1, Direction::Negative)] {
-            let pieces: Vec<Pieces> = fleet.iter().map(|it| Pieces::from_line(it, side)).collect();
-            sup_over_domain(&pieces, self.f, self.lo, self.hi, ray, &mut acc);
-        }
-        Ok(acc.into_report())
-    }
-
-    /// Exact adversarial detection time of a single signed target: the
-    /// `(f+1)`-st smallest first-visit time over the fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on a non-finite or sub-unit
-    /// `|x|`.
-    pub fn detection_time(
-        &self,
-        fleet: &[LineItinerary],
-        x: f64,
-    ) -> Result<Option<f64>, CoreError> {
-        if !(x.is_finite() && x.abs() >= 1.0) {
-            return Err(CoreError::invalid(format!(
-                "target must satisfy |x| >= 1, got {x}"
-            )));
-        }
-        let side = if x > 0.0 {
-            Direction::Positive
-        } else {
-            Direction::Negative
-        };
-        let mut times: Vec<f64> = fleet
-            .iter()
-            .filter_map(|it| {
-                Pieces::from_line(it, side)
-                    .constant_at(x.abs())
-                    .map(|c| c + x.abs())
-            })
-            .collect();
-        let needed = self.f as usize + 1;
-        if times.len() < needed {
-            return Ok(None);
-        }
-        times.sort_by(f64::total_cmp);
-        Ok(Some(times[needed - 1]))
-    }
-}
-
-/// Exact evaluator for `m`-ray fleets.
-///
-/// # Example
-///
-/// ```
-/// use raysearch_core::RayEvaluator;
+/// use raysearch_core::{CompiledFleet, RayEvaluator};
 /// use raysearch_strategies::{CyclicExponential, RayStrategy};
 ///
 /// let strat = CyclicExponential::optimal(3, 1, 0)?;
-/// let fleet = strat.fleet_tours(1e5)?;
+/// let fleet = CompiledFleet::from_tours(3, 1e5, &strat.fleet_tours(1e5)?)?;
 /// let report = RayEvaluator::new(3, 0, 1.0, 1e4)?.evaluate(&fleet)?;
 /// // single robot on 3 rays: the classic 14.5
 /// assert!((report.ratio - 14.5).abs() < 1e-3);
@@ -655,138 +350,8 @@ impl RayEvaluator {
         Ok(RayEvaluator { m, f, lo, hi })
     }
 
-    /// Evaluates the exact worst-case ratio of a fleet of tours.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the fleet has fewer than
-    /// `f+1` robots or a tour is for the wrong number of rays.
-    pub fn evaluate(&self, fleet: &[TourItinerary]) -> Result<EvalReport, CoreError> {
-        if fleet.len() <= self.f as usize {
-            return Err(CoreError::invalid(format!(
-                "need more than f = {} robots, got {}",
-                self.f,
-                fleet.len()
-            )));
-        }
-        for t in fleet {
-            if t.num_rays() != self.m {
-                return Err(CoreError::invalid(format!(
-                    "tour is for {} rays, evaluator expects {}",
-                    t.num_rays(),
-                    self.m
-                )));
-            }
-        }
-        let mut acc = SupAccum::default();
-        for ray in 0..self.m {
-            let pieces: Vec<Pieces> = fleet.iter().map(|t| Pieces::from_tour(t, ray)).collect();
-            sup_over_domain(&pieces, self.f, self.lo, self.hi, ray, &mut acc);
-        }
-        Ok(acc.into_report())
-    }
-
-    /// Evaluates the exact worst-case ratio of a fleet of *log-domain*
-    /// tours — the overflow-proof twin of [`RayEvaluator::evaluate`].
-    ///
-    /// Wherever the corresponding linear fleet exists (no turn point
-    /// overflows `f64`), the report is bit-identical to evaluating it:
-    /// in-range pieces are extracted to the same linear values in the
-    /// same order, and pieces past the evaluation range — the only ones
-    /// a log tour may carry that a linear tour cannot — never influence
-    /// the supremum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the fleet has fewer than
-    /// `f+1` robots, a tour is for the wrong number of rays, or a
-    /// first-visit constant within range overflows `f64` (see
-    /// [`compile_first_visit_pieces`]).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use raysearch_core::RayEvaluator;
-    /// use raysearch_strategies::CyclicExponential;
-    ///
-    /// // k = 199 on the line: the linear fleet overflows, the log fleet
-    /// // evaluates to the closed form
-    /// let strat = CyclicExponential::optimal(2, 199, 99)?;
-    /// let fleet = strat.fleet_log_tours(4e5)?;
-    /// let report = RayEvaluator::new(2, 99, 1.0, 1e5)?.evaluate_log(&fleet)?;
-    /// let theory = raysearch_bounds::a_rays(2, 199, 99)?;
-    /// assert!((report.ratio - theory).abs() / theory < 1e-6);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn evaluate_log(&self, fleet: &[LogTourItinerary]) -> Result<EvalReport, CoreError> {
-        if fleet.len() <= self.f as usize {
-            return Err(CoreError::invalid(format!(
-                "need more than f = {} robots, got {}",
-                self.f,
-                fleet.len()
-            )));
-        }
-        let mut per_ray: Vec<Vec<Pieces>> = (0..self.m).map(|_| Vec::new()).collect();
-        for tour in fleet {
-            self.push_log_pieces(&mut per_ray, tour)?;
-        }
-        Ok(self.sup_of_compiled(&per_ray))
-    }
-
-    /// Compiles one robot's log tour (truncated at this evaluator's
-    /// range) and appends its pieces to each ray's bucket — the shared
-    /// streaming step of [`RayEvaluator::evaluate_log`],
-    /// [`evaluate_optimal`] and the verdict pipeline.
-    pub(crate) fn push_log_pieces(
-        &self,
-        per_ray: &mut [Vec<Pieces>],
-        tour: &LogTourItinerary,
-    ) -> Result<(), CoreError> {
-        if tour.num_rays() != self.m {
-            return Err(CoreError::invalid(format!(
-                "tour is for {} rays, evaluator expects {}",
-                tour.num_rays(),
-                self.m
-            )));
-        }
-        for (robots, compiled) in per_ray
-            .iter_mut()
-            .zip(Pieces::per_ray_from_log_tour(tour, self.hi)?)
-        {
-            robots.push(compiled);
-        }
-        Ok(())
-    }
-
-    /// Runs the per-ray sup over compiled piece tables.
-    pub(crate) fn sup_of_compiled(&self, per_ray: &[Vec<Pieces>]) -> EvalReport {
-        let mut acc = SupAccum::default();
-        for (ray, robots) in per_ray.iter().enumerate() {
-            sup_over_domain(robots, self.f, self.lo, self.hi, ray, &mut acc);
-        }
-        acc.into_report()
-    }
-
-    /// Evaluates the exact worst-case ratio of a [`CompiledFleet`]
-    /// artifact — the compile-once/evaluate-many twin of
-    /// [`RayEvaluator::evaluate_log`], and bit-identical to it for a
-    /// fleet compiled from the same tours at a cap covering this
-    /// evaluator's range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if the fleet has fewer than
-    /// `f+1` robots, is compiled for the wrong number of rays, or its
-    /// compilation cap falls short of the evaluation range (its pieces
-    /// could silently miss coverage past the cap).
-    pub fn evaluate_compiled(&self, fleet: &CompiledFleet) -> Result<EvalReport, CoreError> {
-        if fleet.num_robots() <= self.f as usize {
-            return Err(CoreError::invalid(format!(
-                "need more than f = {} robots, got {}",
-                self.f,
-                fleet.num_robots()
-            )));
-        }
+    /// Checks that `fleet` is compiled for this evaluator's rays.
+    fn check_rays(&self, fleet: &CompiledFleet) -> Result<(), CoreError> {
         if fleet.num_rays() != self.m {
             return Err(CoreError::invalid(format!(
                 "fleet is compiled for {} rays, evaluator expects {}",
@@ -794,6 +359,46 @@ impl RayEvaluator {
                 self.m
             )));
         }
+        Ok(())
+    }
+
+    /// Evaluates the exact worst-case ratio of a compiled fleet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] if the fleet has fewer than
+    /// `f+1` robots, is compiled for the wrong number of rays, or its
+    /// compilation cap falls short of the evaluation range (its pieces
+    /// could silently miss coverage past the cap).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use raysearch_core::{compiled::FleetBuilder, RayEvaluator};
+    /// use raysearch_sim::RobotId;
+    /// use raysearch_strategies::CyclicExponential;
+    ///
+    /// // k = 199 on the line: the linear fleet overflows, the log-domain
+    /// // tours compile and evaluate to the closed form
+    /// let strat = CyclicExponential::optimal(2, 199, 99)?;
+    /// let mut builder = FleetBuilder::new(2, 1e5)?;
+    /// for r in 0..199 {
+    ///     builder.push_log_tour(&strat.log_tour_prefix(RobotId(r), 1e5)?)?;
+    /// }
+    /// let report = RayEvaluator::new(2, 99, 1.0, 1e5)?.evaluate(&builder.finish())?;
+    /// let theory = raysearch_bounds::a_rays(2, 199, 99)?;
+    /// assert!((report.ratio - theory).abs() / theory < 1e-6);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn evaluate(&self, fleet: &CompiledFleet) -> Result<EvalReport, CoreError> {
+        if fleet.num_robots() <= self.f as usize {
+            return Err(CoreError::invalid(format!(
+                "need more than f = {} robots, got {}",
+                self.f,
+                fleet.num_robots()
+            )));
+        }
+        self.check_rays(fleet)?;
         if fleet.cap() < self.hi {
             return Err(CoreError::invalid(format!(
                 "fleet is compiled for targets up to {:e}, evaluator range ends at {:e}",
@@ -802,43 +407,49 @@ impl RayEvaluator {
             )));
         }
         let mut acc = SupAccum::default();
-        let mut flat: Vec<FirstVisitPiece> = Vec::new();
         for ray in 0..self.m {
-            flat.clear();
-            fleet.for_each_piece_on_ray(ray, |lo, hi, c| {
-                flat.push(FirstVisitPiece { lo, hi, c });
-            });
-            sup_over_flat_pieces(&flat, self.f, self.lo, self.hi, ray, &mut acc);
+            sup_over_flat_pieces(
+                fleet.ray_pieces(ray),
+                self.f,
+                self.lo,
+                self.hi,
+                ray,
+                &mut acc,
+            );
         }
         Ok(acc.into_report())
     }
 
-    /// Exact adversarial detection time of a target on a given ray.
+    /// Exact adversarial detection time of a target at distance `x` on
+    /// `ray`: the `(f+1)`-st smallest first-visit time over the fleet,
+    /// or `None` if fewer than `f+1` robots ever reach it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidInput`] on an out-of-range ray or
-    /// `x < 1`.
+    /// Returns [`CoreError::InvalidInput`] if the fleet is compiled for
+    /// the wrong number of rays, `ray` is out of range, or `x` lies
+    /// outside `[1, cap]`.
     pub fn detection_time(
         &self,
-        fleet: &[TourItinerary],
+        fleet: &CompiledFleet,
         ray: usize,
         x: f64,
     ) -> Result<Option<f64>, CoreError> {
+        self.check_rays(fleet)?;
         if ray >= self.m {
             return Err(CoreError::invalid(format!(
                 "ray {ray} out of range for m = {}",
                 self.m
             )));
         }
-        if !(x.is_finite() && x >= 1.0) {
+        if !(x >= 1.0 && x <= fleet.cap()) {
             return Err(CoreError::invalid(format!(
-                "target must satisfy x >= 1, got {x}"
+                "target must satisfy 1 <= x <= {:e}, got {x}",
+                fleet.cap()
             )));
         }
-        let mut times: Vec<f64> = fleet
-            .iter()
-            .filter_map(|t| Pieces::from_tour(t, ray).constant_at(x).map(|c| c + x))
+        let mut times: Vec<f64> = (0..fleet.num_robots())
+            .filter_map(|robot| fleet.first_visit(robot, ray, x))
             .collect();
         let needed = self.f as usize + 1;
         if times.len() < needed {
@@ -852,17 +463,28 @@ impl RayEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::{CompileMemo, FleetBuilder};
+    use raysearch_sim::{LineItinerary, RobotId, TourItinerary};
     use raysearch_strategies::{
         CyclicExponential, DoublingCowPath, LineStrategy, RayStrategy, ReplicatedDoubling,
         ZonePartition,
     };
 
+    /// A line fleet as two-ray tours, ray 0 the positive side.
+    fn line_fleet(fleet: &[LineItinerary], cap: f64) -> CompiledFleet {
+        CompiledFleet::from_tours(2, cap, fleet.iter().map(LineItinerary::to_two_ray_tour)).unwrap()
+    }
+
+    fn tour_fleet(m: u32, fleet: &[TourItinerary], cap: f64) -> CompiledFleet {
+        CompiledFleet::from_tours(m as usize, cap, fleet).unwrap()
+    }
+
     #[test]
     fn cow_path_evaluates_to_nine() {
         let fleet = DoublingCowPath::classic().fleet_itineraries(1e6).unwrap();
-        let r = LineEvaluator::new(0, 1.0, 1e5)
+        let r = RayEvaluator::new(2, 0, 1.0, 1e5)
             .unwrap()
-            .evaluate(&fleet)
+            .evaluate(&line_fleet(&fleet, 1e6))
             .unwrap();
         assert!(r.is_covered());
         // the finite-horizon sup is 9 - 2/b at the largest breakpoint b;
@@ -876,9 +498,9 @@ mod tests {
         for base in [1.5, 3.0] {
             let cow = DoublingCowPath::new(base).unwrap();
             let fleet = cow.fleet_itineraries(1e6).unwrap();
-            let r = LineEvaluator::new(0, 1.0, 1e5)
+            let r = RayEvaluator::new(2, 0, 1.0, 1e5)
                 .unwrap()
-                .evaluate(&fleet)
+                .evaluate(&line_fleet(&fleet, 1e6))
                 .unwrap();
             assert!(
                 (r.ratio - cow.theoretical_ratio()).abs() < 1e-3,
@@ -897,9 +519,9 @@ mod tests {
                 .to_line()
                 .unwrap();
             let fleet = strat.fleet_itineraries(1e6).unwrap();
-            let r = LineEvaluator::new(f, 1.0, 1e4)
+            let r = RayEvaluator::new(2, f, 1.0, 1e4)
                 .unwrap()
-                .evaluate(&fleet)
+                .evaluate(&line_fleet(&fleet, 1e6))
                 .unwrap();
             let theory = raysearch_bounds::a_line(k, f).unwrap();
             assert!(
@@ -929,7 +551,7 @@ mod tests {
             let fleet = strat.fleet_tours(1e6).unwrap();
             let r = RayEvaluator::new(m as usize, f, 1.0, 1e4)
                 .unwrap()
-                .evaluate(&fleet)
+                .evaluate(&tour_fleet(m, &fleet, 1e6))
                 .unwrap();
             let theory = raysearch_bounds::a_rays(m, k, f).unwrap();
             assert!(r.is_covered(), "(m={m},k={k},f={f}) uncovered");
@@ -948,22 +570,20 @@ mod tests {
     #[test]
     fn replicated_doubling_is_nine_for_any_f() {
         let s = ReplicatedDoubling::new(4).unwrap();
-        let fleet = s.fleet_itineraries(1e6).unwrap();
+        let fleet = line_fleet(&s.fleet_itineraries(1e6).unwrap(), 1e6);
         for f in 0..4u32 {
-            let r = LineEvaluator::new(f, 1.0, 1e4)
+            let r = RayEvaluator::new(2, f, 1.0, 1e4)
                 .unwrap()
                 .evaluate(&fleet)
                 .unwrap();
-            if f < 4 {
-                assert!((r.ratio - 9.0).abs() < 1e-3, "f={f}: {}", r.ratio);
-            }
+            assert!((r.ratio - 9.0).abs() < 1e-3, "f={f}: {}", r.ratio);
         }
     }
 
     #[test]
     fn zone_partition_saturated_is_ratio_one() {
         let z = ZonePartition::new(2, 4, 1).unwrap();
-        let fleet = z.fleet_tours(1e4).unwrap();
+        let fleet = tour_fleet(2, &z.fleet_tours(1e4).unwrap(), 1e4);
         let r = RayEvaluator::new(2, 1, 1.0, 1e3)
             .unwrap()
             .evaluate(&fleet)
@@ -975,7 +595,7 @@ mod tests {
     #[test]
     fn zone_partition_undersized_is_uncovered() {
         let z = ZonePartition::new(3, 4, 1).unwrap();
-        let fleet = z.fleet_tours(1e4).unwrap();
+        let fleet = tour_fleet(3, &z.fleet_tours(1e4).unwrap(), 1e4);
         let r = RayEvaluator::new(3, 1, 1.0, 1e3)
             .unwrap()
             .evaluate(&fleet)
@@ -997,7 +617,8 @@ mod tests {
             .to_line()
             .unwrap();
         let fleet = strat.fleet_itineraries(1e4).unwrap();
-        let evaluator = LineEvaluator::new(1, 1.0, 1e3).unwrap();
+        let compiled = line_fleet(&fleet, 1e4);
+        let evaluator = RayEvaluator::new(2, 1, 1.0, 1e3).unwrap();
         let engine = VisitEngine::new(
             fleet
                 .iter()
@@ -1006,8 +627,9 @@ mod tests {
         )
         .unwrap();
         let adv = CrashAdversary::new(1);
-        for &x in &[1.0, -2.5, 7.3, -41.0, 333.0] {
-            let fast = evaluator.detection_time(&fleet, x).unwrap();
+        for &x in &[1.0f64, -2.5, 7.3, -41.0, 333.0] {
+            let ray = usize::from(x < 0.0);
+            let fast = evaluator.detection_time(&compiled, ray, x.abs()).unwrap();
             let truth = adv
                 .detection_time(&engine.schedule(LinePoint::new(x).unwrap()))
                 .map(|t| t.as_f64());
@@ -1022,84 +644,118 @@ mod tests {
 
     #[test]
     fn evaluator_validation() {
-        assert!(LineEvaluator::new(0, 0.5, 10.0).is_err());
-        assert!(LineEvaluator::new(0, 10.0, 10.0).is_err());
+        assert!(RayEvaluator::new(2, 0, 0.5, 10.0).is_err());
+        assert!(RayEvaluator::new(2, 0, 10.0, 10.0).is_err());
         assert!(RayEvaluator::new(0, 0, 1.0, 10.0).is_err());
-        let e = LineEvaluator::new(2, 1.0, 10.0).unwrap();
+        let e = RayEvaluator::new(2, 2, 1.0, 10.0).unwrap();
         // fleet smaller than f+1
-        let fleet = DoublingCowPath::classic().fleet_itineraries(100.0).unwrap();
+        let fleet = line_fleet(
+            &DoublingCowPath::classic().fleet_itineraries(100.0).unwrap(),
+            100.0,
+        );
         assert!(e.evaluate(&fleet).is_err());
-        assert!(e.detection_time(&fleet, 0.5).is_err());
+        // ... but its detection times are merely absent
+        assert_eq!(e.detection_time(&fleet, 0, 2.0).unwrap(), None);
+        // targets outside [1, cap] and rays outside the star
+        assert!(e.detection_time(&fleet, 0, 0.5).is_err());
+        assert!(e.detection_time(&fleet, 0, 200.0).is_err());
+        assert!(e.detection_time(&fleet, 0, f64::NAN).is_err());
+        assert!(e.detection_time(&fleet, 2, 2.0).is_err());
     }
 
     #[test]
     fn ray_evaluator_rejects_mismatched_tours() {
         let strat = CyclicExponential::optimal(3, 2, 0).unwrap();
-        let fleet = strat.fleet_tours(100.0).unwrap();
+        let fleet = tour_fleet(3, &strat.fleet_tours(100.0).unwrap(), 100.0);
         let e = RayEvaluator::new(4, 0, 1.0, 10.0).unwrap();
         assert!(e.evaluate(&fleet).is_err());
+        assert!(e.detection_time(&fleet, 0, 2.0).is_err());
     }
 
+    /// Instances for the route tests; the last, k = 149, lies past the
+    /// k ≈ 139 wall beyond which no linear fleet exists.
+    const ROUTE_CASES: [(u32, u32, u32); 6] = [
+        (2, 1, 0),
+        (2, 3, 1),
+        (2, 5, 2),
+        (3, 5, 1),
+        (5, 4, 0),
+        (2, 149, 74),
+    ];
+
+    /// The optimal `(m, k, f)` fleet's artifact by every route that
+    /// exists at `horizon`: bounded log-domain tour prefixes first, then
+    /// (unless linear tours overflow) linear tours and, on the line,
+    /// line itineraries read as two-ray tours.
+    fn artifact_routes(m: u32, k: u32, f: u32, horizon: f64) -> Vec<(&'static str, CompiledFleet)> {
+        let strat = CyclicExponential::optimal(m, k, f).unwrap();
+        let mut log = FleetBuilder::new(m as usize, horizon).unwrap();
+        for r in 0..k as usize {
+            log.push_log_tour(&strat.log_tour_prefix(RobotId(r), horizon).unwrap())
+                .unwrap();
+        }
+        let mut fleets = vec![("push_log_tour", log.finish())];
+        match strat.fleet_tours(4.0 * horizon) {
+            Ok(tours) => {
+                fleets.push(("push_tour", tour_fleet(m, &tours, horizon)));
+                if m == 2 {
+                    let line = strat.to_line().unwrap();
+                    let line = line.fleet_itineraries(4.0 * horizon).unwrap();
+                    fleets.push(("line", line_fleet(&line, horizon)));
+                }
+            }
+            Err(_) => assert!(k > 139, "({m},{k},{f}): linear tours overflowed"),
+        }
+        fleets
+    }
+
+    fn assert_same_report(at: &str, r: &EvalReport, reference: &EvalReport) {
+        assert_eq!(r.ratio.to_bits(), reference.ratio.to_bits(), "{at}");
+        assert_eq!(r.num_breakpoints, reference.num_breakpoints, "{at}");
+        assert_eq!(r.worst, reference.worst, "{at}");
+        assert_eq!(r.uncovered, reference.uncovered, "{at}");
+    }
+
+    /// Linear tours and line itineraries read as two-ray tours compile
+    /// to the same pieces as bounded log-domain tour prefixes, and
+    /// evaluate bit-identically to them.
     #[test]
     fn evaluate_log_is_bit_identical_to_evaluate() {
-        for (m, k, f) in [(2u32, 5u32, 2u32), (3, 5, 1), (5, 4, 0)] {
-            let strat = CyclicExponential::optimal(m, k, f).unwrap();
-            let linear = strat.fleet_tours(4e4).unwrap();
-            let log = strat.fleet_log_tours(4e4).unwrap();
-            let e = RayEvaluator::new(m as usize, f, 1.0, 1e4).unwrap();
-            let a = e.evaluate(&linear).unwrap();
-            let b = e.evaluate_log(&log).unwrap();
-            assert_eq!(a.ratio.to_bits(), b.ratio.to_bits(), "({m},{k},{f})");
-            assert_eq!(a.num_breakpoints, b.num_breakpoints);
-            assert_eq!(a.worst, b.worst);
-            assert_eq!(a.uncovered, b.uncovered);
+        let horizon = 1e4;
+        for (m, k, f) in ROUTE_CASES {
+            let fleets = artifact_routes(m, k, f, horizon);
+            let evaluator = RayEvaluator::new(m as usize, f, 1.0, horizon).unwrap();
+            let reference = evaluator.evaluate(&fleets[0].1).unwrap();
+            for (route, fleet) in &fleets[1..] {
+                let at = format!("({m},{k},{f}) {route}");
+                assert_eq!(fleet, &fleets[0].1, "{at}: pieces differ");
+                assert_same_report(&at, &evaluator.evaluate(fleet).unwrap(), &reference);
+            }
         }
     }
 
-    #[test]
-    fn evaluate_log_validates_like_evaluate() {
-        let strat = CyclicExponential::optimal(3, 2, 0).unwrap();
-        let fleet = strat.fleet_log_tours(100.0).unwrap();
-        // wrong ray count
-        assert!(RayEvaluator::new(4, 0, 1.0, 10.0)
-            .unwrap()
-            .evaluate_log(&fleet)
-            .is_err());
-        // fleet smaller than f+1
-        assert!(RayEvaluator::new(3, 2, 1.0, 10.0)
-            .unwrap()
-            .evaluate_log(&fleet)
-            .is_err());
-    }
-
+    /// The memoized optimal fleet, cold and warm, evaluates
+    /// bit-identically to a fleet streamed from log-domain tour
+    /// prefixes, including at k = 149 where no linear fleet exists.
     #[test]
     fn evaluate_compiled_is_bit_identical_to_evaluate_log() {
-        use crate::compiled::FleetBuilder;
-
-        for (m, k, f) in [(2u32, 5u32, 2u32), (3, 5, 1), (2, 149, 74)] {
-            let strat = CyclicExponential::optimal(m, k, f).unwrap();
-            let e = RayEvaluator::new(m as usize, f, 1.0, 1e4).unwrap();
-            let log = strat.fleet_log_tours(4e4).unwrap();
-            let a = e.evaluate_log(&log).unwrap();
-            // the artifact path: bounded tour prefixes, arena storage
-            let mut builder = FleetBuilder::new(m as usize, 1e4).unwrap();
-            for r in 0..k as usize {
-                builder
-                    .push_log_tour(&strat.log_tour_prefix(RobotId(r), 1e4).unwrap())
-                    .unwrap();
+        let horizon = 1e4;
+        let memo = CompileMemo::new();
+        for (m, k, f) in ROUTE_CASES {
+            let fleets = artifact_routes(m, k, f, horizon);
+            let reference = RayEvaluator::new(m as usize, f, 1.0, horizon)
+                .unwrap()
+                .evaluate(&fleets[0].1)
+                .unwrap();
+            for pass in ["cold", "warm"] {
+                let r = evaluate_optimal_cached(&memo, m, k, f, horizon).unwrap();
+                assert_same_report(&format!("({m},{k},{f}) {pass}"), &r, &reference);
             }
-            let b = e.evaluate_compiled(&builder.finish()).unwrap();
-            assert_eq!(a.ratio.to_bits(), b.ratio.to_bits(), "({m},{k},{f})");
-            assert_eq!(a.num_breakpoints, b.num_breakpoints);
-            assert_eq!(a.worst, b.worst);
-            assert_eq!(a.uncovered, b.uncovered);
         }
     }
 
     #[test]
     fn evaluate_compiled_validates() {
-        use crate::compiled::FleetBuilder;
-
         let strat = CyclicExponential::optimal(3, 2, 0).unwrap();
         let mut builder = FleetBuilder::new(3, 100.0).unwrap();
         for r in 0..2usize {
@@ -1111,29 +767,27 @@ mod tests {
         // wrong ray count
         assert!(RayEvaluator::new(4, 0, 1.0, 10.0)
             .unwrap()
-            .evaluate_compiled(&fleet)
+            .evaluate(&fleet)
             .is_err());
         // fleet smaller than f+1
         assert!(RayEvaluator::new(3, 2, 1.0, 10.0)
             .unwrap()
-            .evaluate_compiled(&fleet)
+            .evaluate(&fleet)
             .is_err());
         // cap short of the evaluation range
         assert!(RayEvaluator::new(3, 0, 1.0, 200.0)
             .unwrap()
-            .evaluate_compiled(&fleet)
+            .evaluate(&fleet)
             .is_err());
         // in range: fine
         assert!(RayEvaluator::new(3, 0, 1.0, 100.0)
             .unwrap()
-            .evaluate_compiled(&fleet)
+            .evaluate(&fleet)
             .is_ok());
     }
 
     #[test]
     fn evaluate_optimal_cached_is_bit_identical_across_hits_and_regimes() {
-        use crate::compiled::CompileMemo;
-
         let memo = CompileMemo::new();
         // searchable and trivial instances, each evaluated twice: the
         // second pass is all cache hits and must not move a single bit
@@ -1155,8 +809,6 @@ mod tests {
 
     #[test]
     fn trivial_regime_cells_share_one_zone_artifact_across_f() {
-        use crate::compiled::CompileMemo;
-
         let memo = CompileMemo::new();
         // (2, 512, f) is trivial for every f ≥ 1 shown here, and the
         // zone fleet is f-free: one compile serves all three
@@ -1220,9 +872,9 @@ mod tests {
     #[test]
     fn worst_target_is_just_past_a_turning_point() {
         let fleet = DoublingCowPath::classic().fleet_itineraries(1e6).unwrap();
-        let r = LineEvaluator::new(0, 1.0, 1e5)
+        let r = RayEvaluator::new(2, 0, 1.0, 1e5)
             .unwrap()
-            .evaluate(&fleet)
+            .evaluate(&line_fleet(&fleet, 1e6))
             .unwrap();
         let w = r.worst.unwrap();
         // the worst target hides just past a power of two

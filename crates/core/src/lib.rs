@@ -8,16 +8,16 @@
 //! * [`problem`] — `LineProblem` / `RayProblem`: instance parameters plus
 //!   an evaluation horizon;
 //! * [`eval`] — the exact evaluator: computes
-//!   `sup_x τ(x)/|x|` for a concrete fleet *symbolically* over
+//!   `sup_x τ(x)/|x|` for a compiled fleet *symbolically* over
 //!   breakpoints (no sampling), against the worst-case crash adversary;
 //! * [`verdict`] — ties theory to measurement: the closed-form `Λ(q/k)`,
 //!   the measured ratio of the optimal strategy, and the covering
 //!   falsification just below the bound;
-//! * [`compiled`] — the compilation layer: an arena-backed
-//!   [`CompiledFleet`] artifact keyed by fleet geometry ([`FleetKey`])
-//!   and a sharded memo ([`CompileMemo`]) so evaluations, verdicts,
-//!   Monte-Carlo tables and campaign cells sharing geometry compile
-//!   once;
+//! * [`compiled`] — the compilation layer: the arena-backed
+//!   [`CompiledFleet`], the one first-visit representation every
+//!   consumer reads, keyed by fleet geometry ([`FleetKey`]) in a sharded
+//!   memo ([`CompileMemo`]) so evaluations, verdicts, Monte-Carlo runs
+//!   and campaign cells sharing geometry compile once;
 //! * [`canon`] — canonical `f64` cache keys ([`CanonF64`]: no `NaN`, no
 //!   `-0.0`) so a memoizing serving layer can key on instance parameters,
 //!   plus the pinned cross-process hash ([`stable_hash64`]) consistent-hash
@@ -72,13 +72,11 @@ pub mod verdict;
 pub use campaign::{Campaign, CampaignRun, Cell, ParamGrid, ParamValue, Report};
 pub use canon::{stable_hash64, stable_hash64_parts, CanonF64, StableHasher};
 pub use compiled::{
-    CompileCache, CompileMemo, CompileStats, CompiledFleet, FleetBuilder, FleetKey, NoCache,
+    optimal_fleet, CompileCache, CompileMemo, CompileStats, CompiledFleet, FirstVisitPiece,
+    FleetBuilder, FleetKey, NoCache,
 };
 pub use error::CoreError;
-pub use eval::{
-    compile_first_visit_pieces, evaluate_optimal, evaluate_optimal_cached, EvalReport,
-    FirstVisitPiece, LineEvaluator, RayEvaluator, WorstTarget,
-};
+pub use eval::{evaluate_optimal, evaluate_optimal_cached, EvalReport, RayEvaluator, WorstTarget};
 pub use problem::{LineProblem, RayProblem};
 pub use sweep::{par_map, par_map_threads};
 pub use telemetry::{splitmix64, HistogramSnapshot, LatencyHistogram};

@@ -19,8 +19,7 @@ use raysearch_cover::CoverageProfile;
 use raysearch_sim::RobotId;
 use raysearch_strategies::CyclicExponential;
 
-use crate::canon::CanonF64;
-use crate::compiled::{CompileCache, FleetBuilder, FleetKey, NoCache};
+use crate::compiled::{optimal_fleet, CompileCache, NoCache};
 use crate::{CoreError, RayEvaluator};
 
 /// The outcome of a tightness verification for one instance.
@@ -115,21 +114,8 @@ pub fn verify_tightness_cached<C: CompileCache>(
     let sum_cutoff = mu_below * horizon;
 
     // (2) measure the upper bound exactly, through the shared artifact:
-    // the key matches `evaluate_optimal_cached` at the same horizon, so
-    // one compilation serves both entry points
-    let key = FleetKey::Cyclic {
-        m,
-        k,
-        alpha: CanonF64::new(strategy.alpha())?,
-        cap: CanonF64::new(horizon)?,
-    };
-    let fleet = cache.get_or_compile(key, &mut || {
-        let mut builder = FleetBuilder::new(m as usize, horizon)?;
-        for r in 0..k as usize {
-            builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), horizon)?)?;
-        }
-        Ok(builder.finish())
-    })?;
+    // one compilation serves this and `evaluate_optimal_cached`
+    let fleet = optimal_fleet(cache, m, k, f, horizon)?;
 
     // (3) the bounded turn prefix of the q-fold ORC covering; this side
     // needs linear turns, but only while an interval's start
@@ -156,7 +142,7 @@ pub fn verify_tightness_cached<C: CompileCache>(
         per_robot.push(OrcSetting::covered_intervals(&turns, mu_below)?);
     }
 
-    let report = evaluator.evaluate_compiled(&fleet)?;
+    let report = evaluator.evaluate(&fleet)?;
     if !report.is_covered() {
         return Err(CoreError::Uncovered {
             witness: report.uncovered.map(|w| w.x).unwrap_or(f64::NAN),

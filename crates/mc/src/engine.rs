@@ -17,15 +17,15 @@
 //! Every [`McReport`] is therefore bit-identical across `threads ∈ {1,
 //! 2, 8, …}`, which is what makes the serving layer's cache sound.
 
+use std::sync::Arc;
+
 use rand::rngs::SplitMix64;
-use raysearch_core::{par_map_threads, CanonF64, CompileCache, FleetBuilder, FleetKey, NoCache};
-use raysearch_sim::RobotId;
+use raysearch_core::{optimal_fleet, par_map_threads, CompileCache, CompiledFleet, NoCache};
 use raysearch_strategies::CyclicExponential;
 
 use crate::estimator::BatchEstimate;
 use crate::sampler::{FaultSampler, TargetSampler};
-use crate::visits::VisitTable;
-use crate::McError;
+use crate::{visits, McError};
 
 /// Largest fleet the engine accepts (fault draws are fixed-width
 /// [`SilentMask`](crate::SilentMask) bitsets of this many bits, and the
@@ -151,11 +151,11 @@ impl Scenario {
     /// Returns [`McError::InvalidInput`] if the fleet cannot be
     /// materialized (a regression — construction already validated it).
     pub fn adversarial_grid(&self) -> Result<TargetSampler, McError> {
-        let table = self.visit_table()?;
+        let fleet = self.compiled(&NoCache)?;
         let mut points = Vec::new();
         for ray in 0..self.m as usize {
             points.push((ray, 1.0));
-            for b in table.boundaries_on_ray(ray, 1.0, self.horizon) {
+            for b in fleet.boundaries_on_ray(ray, 1.0, self.horizon) {
                 // the sup is a right-limit at the boundary; replay a
                 // point just inside the next piece
                 let x = b * (1.0 + 1e-12);
@@ -167,41 +167,12 @@ impl Scenario {
         Ok(TargetSampler::GridReplay { points })
     }
 
-    /// Compiles the optimal fleet's first-visit table through the
-    /// log-domain tour pipeline — the same pieces
-    /// [`evaluate_optimal`](raysearch_core::eval::evaluate_optimal)
-    /// compiles, so the two paths agree bit-for-bit, and without ever
-    /// materializing a turn point in linear space (which overflowed
-    /// from `k ≈ 139`).
-    fn visit_table(&self) -> Result<VisitTable, McError> {
-        self.visit_table_cached(&NoCache)
-    }
-
-    /// [`Scenario::visit_table`] through a shared compile cache. The
-    /// artifact key matches
-    /// [`evaluate_optimal_cached`](raysearch_core::evaluate_optimal_cached)
-    /// at the same horizon, so Monte-Carlo runs reuse fleets the exact
-    /// evaluator (or the serving layer) already compiled.
-    fn visit_table_cached<C: CompileCache>(&self, cache: &C) -> Result<VisitTable, McError> {
-        let strategy = CyclicExponential::optimal(self.m, self.k, self.f)?;
-        let key = FleetKey::Cyclic {
-            m: self.m,
-            k: self.k,
-            alpha: CanonF64::new(strategy.alpha())
-                .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?,
-            cap: CanonF64::new(self.horizon)
-                .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?,
-        };
-        let fleet = cache
-            .get_or_compile(key, &mut || {
-                let mut builder = FleetBuilder::new(self.m as usize, self.horizon)?;
-                for r in 0..self.k as usize {
-                    builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), self.horizon)?)?;
-                }
-                Ok(builder.finish())
-            })
-            .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?;
-        Ok(VisitTable::from_compiled(&fleet))
+    /// The optimal fleet's compiled artifact, fetched through `cache`
+    /// under the same key the exact evaluator uses at this horizon, so
+    /// Monte-Carlo runs and exact evaluations share one compilation.
+    fn compiled<C: CompileCache>(&self, cache: &C) -> Result<Arc<CompiledFleet>, McError> {
+        optimal_fleet(cache, self.m, self.k, self.f, self.horizon)
+            .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))
     }
 }
 
@@ -395,8 +366,8 @@ pub fn estimate(scenario: &Scenario, cfg: &McConfig) -> Result<McReport, McError
     estimate_cached(scenario, cfg, &NoCache)
 }
 
-/// [`estimate`] with a shared compile cache for the fleet's first-visit
-/// table.
+/// [`estimate`] with a shared compile cache for the fleet's
+/// [`CompiledFleet`], which every sample queries in place.
 ///
 /// The report is bit-identical to [`estimate`]'s — the cached artifact
 /// holds the same pieces a fresh compilation produces — so the serving
@@ -420,7 +391,7 @@ pub fn estimate_cached<C: CompileCache>(
     if cfg.bins < 2 {
         return Err(McError::invalid("quantile sketch needs at least 2 bins"));
     }
-    let table = scenario.visit_table_cached(cache)?;
+    let fleet = scenario.compiled(cache)?;
     let closed_form = scenario.closed_form();
     let m = scenario.m as usize;
     let k = scenario.k as usize;
@@ -436,19 +407,9 @@ pub fn estimate_cached<C: CompileCache>(
             let mut rng = SplitMix64::keyed(cfg.seed, i);
             let (ray, x) = scenario.targets.draw(m, &mut rng);
             let draw = scenario.faults.draw(k, &mut rng);
-            times.clear();
-            for robot in 0..k {
-                if !draw.silent.is_silent(robot) {
-                    if let Some(t) = table.first_visit(robot, ray, x) {
-                        times.push(t);
-                    }
-                }
-            }
-            if times.len() < draw.needed {
-                acc.push_undetected();
-            } else {
-                times.sort_by(f64::total_cmp);
-                acc.push_ratio(times[draw.needed - 1] / x);
+            match visits::detection_time(&fleet, &draw, ray, x, &mut times) {
+                Some(t) => acc.push_ratio(t / x),
+                None => acc.push_undetected(),
             }
         }
         acc

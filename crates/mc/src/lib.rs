@@ -12,8 +12,10 @@
 //!
 //! # Architecture
 //!
-//! * [`VisitTable`] — the fleet's first-visit functions, compiled once
-//!   (bit-compatible with the exact evaluator's piece construction);
+//! * [`CompiledFleet`](raysearch_core::CompiledFleet) — the fleet's
+//!   first-visit functions, compiled once by the core and queried in
+//!   place by every sample (the very artifact the exact evaluator
+//!   reads, so the two agree bit for bit);
 //! * [`FaultSampler`] / [`TargetSampler`] — pluggable distributions
 //!   over fault sets and target positions (see the taxonomy in
 //!   [`sampler`]);
@@ -57,11 +59,11 @@
 #![warn(missing_docs)]
 
 mod error;
+mod visits;
 
 pub mod engine;
 pub mod estimator;
 pub mod sampler;
-pub mod visits;
 
 pub use engine::{
     estimate, estimate_cached, ClosedFormComparison, McConfig, McReport, Scenario, MAX_FLEET,
@@ -69,4 +71,3 @@ pub use engine::{
 pub use error::McError;
 pub use estimator::{BatchEstimate, QuantileSketch, Welford};
 pub use sampler::{FaultDraw, FaultSampler, SilentMask, TargetSampler};
-pub use visits::VisitTable;

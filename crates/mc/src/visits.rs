@@ -1,304 +1,138 @@
-//! Precompiled first-visit tables for fleets of ray tours.
-//!
-//! The exact evaluator in `raysearch-core` rebuilds its piecewise
-//! first-visit functions on every `detection_time` query; that is fine
-//! for a handful of sup computations but not for hundreds of thousands
-//! of Monte-Carlo samples. [`VisitTable`] compiles the same structure
-//! once — for each robot and ray, the sorted slope-1 pieces
-//! `(lo, hi, c]` such that targets in `(lo, hi]` are first visited at
-//! time `c + x` — and answers each query with one binary search.
-//!
-//! The piece construction is *identical* to the evaluator's (`c` is
-//! twice the turning mass before the covering leg), so a table query
-//! returns the bit-for-bit same `f64` as
-//! [`RayEvaluator::detection_time`](raysearch_core::RayEvaluator::detection_time)
-//! composed over the same robots. The degenerate-sampler tests pin this.
+//! The per-sample detection rule, read straight off the fleet's shared
+//! [`CompiledFleet`]: a target counts as found once `needed` robots
+//! that are not silenced have first visited it.
 
-use raysearch_core::FirstVisitPiece;
-use raysearch_sim::{LogTourItinerary, TourItinerary};
+use raysearch_core::CompiledFleet;
 
-use crate::McError;
+use crate::FaultDraw;
 
-/// The compiled first-visit functions of a whole fleet, indexed by
-/// `(robot, ray)`.
+/// The time at which the `draw.needed`-th robot not silenced by
+/// `draw.silent` first visits `(ray, x)`, or `None` if fewer of them
+/// ever reach it. `times` is caller-owned scratch, reused across
+/// samples.
 ///
-/// # Example
-///
-/// ```
-/// use raysearch_mc::VisitTable;
-/// use raysearch_strategies::{CyclicExponential, RayStrategy};
-///
-/// let fleet = CyclicExponential::optimal(2, 3, 1)?.fleet_tours(100.0)?;
-/// let table = VisitTable::from_fleet(&fleet)?;
-/// assert_eq!(table.num_robots(), 3);
-/// assert_eq!(table.num_rays(), 2);
-/// // some robot reaches distance 5 on ray 0 in finite time
-/// assert!((0..3).any(|r| table.first_visit(r, 0, 5.0).is_some()));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct VisitTable {
-    m: usize,
-    /// `pieces[robot * m + ray]`, each sorted by strictly increasing `lo`.
-    pieces: Vec<Vec<FirstVisitPiece>>,
-}
-
-impl VisitTable {
-    /// Compiles the first-visit functions of every robot in `fleet`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidInput`] if the fleet is empty or its
-    /// tours disagree on the number of rays.
-    pub fn from_fleet(fleet: &[TourItinerary]) -> Result<Self, McError> {
-        let Some(first) = fleet.first() else {
-            return Err(McError::invalid("fleet must have at least one robot"));
-        };
-        let m = first.num_rays();
-        let mut pieces = Vec::with_capacity(fleet.len() * m);
-        for tour in fleet {
-            if tour.num_rays() != m {
-                return Err(McError::invalid(format!(
-                    "tour is for {} rays, fleet started with {m}",
-                    tour.num_rays()
-                )));
-            }
-            for ray in 0..m {
-                // mirror of the exact evaluator's construction: a new
-                // piece opens whenever an excursion on `ray` pushes past
-                // the furthest distance visited so far, and its constant
-                // is twice the turning mass spent before that leg
-                let mut per_ray = Vec::new();
-                let mut reach = 0.0f64;
-                let mut prefix = 0.0f64;
-                for e in tour.excursions() {
-                    if e.ray.index() == ray && e.turn > reach {
-                        per_ray.push(FirstVisitPiece {
-                            lo: reach,
-                            hi: e.turn,
-                            c: 2.0 * prefix,
-                        });
-                        reach = e.turn;
-                    }
-                    prefix += e.turn;
-                }
-                pieces.push(per_ray);
+/// With no robot silenced and `needed = f + 1` this is the crash
+/// adversary's order statistic, i.e. the exact evaluator's detection
+/// time.
+#[inline]
+pub(crate) fn detection_time(
+    fleet: &CompiledFleet,
+    draw: &FaultDraw,
+    ray: usize,
+    x: f64,
+    times: &mut Vec<f64>,
+) -> Option<f64> {
+    times.clear();
+    for robot in 0..fleet.num_robots() {
+        if !draw.silent.is_silent(robot) {
+            if let Some(t) = fleet.first_visit(robot, ray, x) {
+                times.push(t);
             }
         }
-        Ok(VisitTable { m, pieces })
     }
-
-    /// An empty table over `m` rays, to be filled one robot at a time
-    /// with [`VisitTable::push_log_tour`] — the streaming construction
-    /// path for large fleets, where materializing every log tour at
-    /// once would cost hundreds of megabytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidInput`] if `m = 0`.
-    pub fn new(m: usize) -> Result<Self, McError> {
-        if m == 0 {
-            return Err(McError::invalid("a ray star must have at least one ray"));
-        }
-        Ok(VisitTable {
-            m,
-            pieces: Vec::new(),
-        })
+    if times.len() < draw.needed {
+        return None;
     }
-
-    /// Appends one robot's first-visit pieces, compiled from a
-    /// log-domain tour and truncated at `cap` through the *same*
-    /// [`compile_first_visit_pieces`](raysearch_core::compile_first_visit_pieces)
-    /// the exact evaluator uses — the shared compilation is what makes
-    /// the table's answers bit-for-bit identical to the evaluator's.
-    ///
-    /// Construction stops at the first piece reaching past `cap`:
-    /// queries are only valid for `x ≤ cap`, and every piece that can
-    /// answer such a query has `lo < cap`. This is what keeps the
-    /// overflowing post-horizon padding tail of a large fleet out of
-    /// linear space entirely — answers for `x ≤ cap` are bit-for-bit
-    /// identical to a `from_fleet` table of the same (finite) fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidInput`] if the tour's ray count
-    /// disagrees with the table's, `cap` is not positive and finite, or
-    /// a first-visit constant within the cap overflows `f64` (a horizon
-    /// too deep for the fleet's turning-point growth).
-    pub fn push_log_tour(&mut self, tour: &LogTourItinerary, cap: f64) -> Result<(), McError> {
-        if tour.num_rays() != self.m {
-            return Err(McError::invalid(format!(
-                "tour is for {} rays, table expects {}",
-                tour.num_rays(),
-                self.m
-            )));
-        }
-        let compiled = raysearch_core::compile_first_visit_pieces(tour, cap)
-            .map_err(|e| McError::invalid(format!("first-visit compilation: {e}")))?;
-        self.pieces.extend(compiled);
-        Ok(())
-    }
-
-    /// Compiles a whole fleet of log-domain tours (see
-    /// [`VisitTable::push_log_tour`] for the `cap` semantics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidInput`] if the fleet is empty, its
-    /// tours disagree on the number of rays, or `cap` is invalid.
-    pub fn from_log_fleet(fleet: &[LogTourItinerary], cap: f64) -> Result<Self, McError> {
-        let Some(first) = fleet.first() else {
-            return Err(McError::invalid("fleet must have at least one robot"));
-        };
-        let mut table = VisitTable::new(first.num_rays())?;
-        for tour in fleet {
-            table.push_log_tour(tour, cap)?;
-        }
-        Ok(table)
-    }
-
-    /// Materializes a table from a shared
-    /// [`CompiledFleet`](raysearch_core::CompiledFleet) artifact.
-    ///
-    /// The artifact's pieces were produced by the same
-    /// [`compile_first_visit_pieces`](raysearch_core::compile_first_visit_pieces)
-    /// this table's own builders use, so the resulting table answers
-    /// bit-for-bit like one built fresh from the same tours — this is
-    /// how Monte-Carlo estimation piggybacks on fleets already compiled
-    /// by the exact evaluator or the serving layer.
-    pub fn from_compiled(fleet: &raysearch_core::CompiledFleet) -> Self {
-        let m = fleet.num_rays();
-        let mut pieces = Vec::with_capacity(fleet.num_robots() * m);
-        for robot in 0..fleet.num_robots() {
-            for ray in 0..m {
-                pieces.push(fleet.pieces(robot, ray).collect());
-            }
-        }
-        VisitTable { m, pieces }
-    }
-
-    /// Number of robots in the compiled fleet.
-    pub fn num_robots(&self) -> usize {
-        self.pieces.len() / self.m
-    }
-
-    /// Number of rays.
-    pub fn num_rays(&self) -> usize {
-        self.m
-    }
-
-    /// First-visit time of `robot` to a target at distance `x` on `ray`,
-    /// or `None` if the robot's plan never reaches it.
-    #[inline]
-    pub fn first_visit(&self, robot: usize, ray: usize, x: f64) -> Option<f64> {
-        let per_ray = &self.pieces[robot * self.m + ray];
-        let idx = per_ray.partition_point(|p| p.lo < x);
-        if idx == 0 {
-            return None;
-        }
-        let p = &per_ray[idx - 1];
-        (x <= p.hi).then_some(p.c + x)
-    }
-
-    /// All piece boundaries on `ray` strictly inside `(lo, hi)`, sorted
-    /// and deduplicated — the exact adversary's candidate target set,
-    /// used by the adversarial-grid replay sampler.
-    pub fn boundaries_on_ray(&self, ray: usize, lo: f64, hi: f64) -> Vec<f64> {
-        let mut bs: Vec<f64> = Vec::new();
-        for robot in 0..self.num_robots() {
-            for p in &self.pieces[robot * self.m + ray] {
-                for b in [p.lo, p.hi] {
-                    if b > lo && b < hi {
-                        bs.push(b);
-                    }
-                }
-            }
-        }
-        bs.sort_by(f64::total_cmp);
-        bs.dedup();
-        bs
-    }
+    times.sort_by(f64::total_cmp);
+    Some(times[draw.needed - 1])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raysearch_core::{optimal_fleet, FleetBuilder, NoCache, RayEvaluator};
     use raysearch_strategies::{CyclicExponential, RayStrategy};
 
-    fn fleet() -> Vec<TourItinerary> {
-        CyclicExponential::optimal(3, 4, 1)
+    use crate::SilentMask;
+
+    /// Every robot reports; `needed` of them must arrive.
+    fn all_report(needed: usize) -> FaultDraw {
+        FaultDraw {
+            silent: SilentMask::EMPTY,
+            needed,
+        }
+    }
+
+    fn fleet() -> CompiledFleet {
+        let tours = CyclicExponential::optimal(3, 4, 1)
             .unwrap()
             .fleet_tours(500.0)
-            .unwrap()
+            .unwrap();
+        CompiledFleet::from_tours(3, 500.0, &tours).unwrap()
     }
 
     #[test]
     fn matches_the_exact_evaluator_bit_for_bit() {
-        use raysearch_core::RayEvaluator;
-
         let fleet = fleet();
-        let table = VisitTable::from_fleet(&fleet).unwrap();
         let evaluator = RayEvaluator::new(3, 1, 1.0, 400.0).unwrap();
+        let mut times = Vec::new();
         for ray in 0..3 {
             for &x in &[1.0, 1.5, 7.3, 41.0, 333.0] {
-                // the (f+1)-st order statistic over the whole fleet,
-                // computed from the table exactly as the evaluator does
-                let mut times: Vec<f64> = (0..table.num_robots())
-                    .filter_map(|r| table.first_visit(r, ray, x))
-                    .collect();
-                times.sort_by(f64::total_cmp);
-                let ours = (times.len() >= 2).then(|| times[1]);
+                let ours = detection_time(&fleet, &all_report(2), ray, x, &mut times);
                 let truth = evaluator.detection_time(&fleet, ray, x).unwrap();
-                assert_eq!(ours, truth, "ray {ray}, x {x}");
+                assert!(truth.is_some(), "ray {ray}, x {x}");
+                assert_eq!(
+                    ours.map(f64::to_bits),
+                    truth.map(f64::to_bits),
+                    "ray {ray}, x {x}"
+                );
             }
         }
     }
 
     #[test]
     fn unreached_targets_are_none() {
-        let table = VisitTable::from_fleet(&fleet()).unwrap();
-        for robot in 0..table.num_robots() {
-            for ray in 0..table.num_rays() {
-                assert_eq!(table.first_visit(robot, ray, 1e12), None);
+        let fleet = fleet();
+        let mut times = Vec::new();
+        for ray in 0..fleet.num_rays() {
+            for robot in 0..fleet.num_robots() {
+                assert_eq!(fleet.first_visit(robot, ray, 1e12), None);
             }
+            assert_eq!(
+                detection_time(&fleet, &all_report(1), ray, 1e12, &mut times),
+                None
+            );
         }
-    }
-
-    #[test]
-    fn boundaries_are_sorted_in_range() {
-        let table = VisitTable::from_fleet(&fleet()).unwrap();
-        let bs = table.boundaries_on_ray(0, 1.0, 400.0);
-        assert!(!bs.is_empty());
-        assert!(bs.windows(2).all(|w| w[0] < w[1]));
-        assert!(bs.iter().all(|&b| b > 1.0 && b < 400.0));
     }
 
     #[test]
     fn log_fleet_table_answers_bit_for_bit_like_the_linear_one() {
         let strat = CyclicExponential::optimal(3, 4, 1).unwrap();
-        let linear = VisitTable::from_fleet(&strat.fleet_tours(500.0).unwrap()).unwrap();
-        let log =
-            VisitTable::from_log_fleet(&strat.fleet_log_tours(500.0).unwrap(), 125.0).unwrap();
+        let linear =
+            CompiledFleet::from_tours(3, 125.0, strat.fleet_tours(500.0).unwrap()).unwrap();
+        let mut log = FleetBuilder::new(3, 125.0).unwrap();
+        for tour in strat.fleet_log_tours(500.0).unwrap() {
+            log.push_log_tour(&tour).unwrap();
+        }
+        let log = log.finish();
         assert_eq!(log.num_robots(), 4);
         assert_eq!(log.num_rays(), 3);
-        for robot in 0..4 {
-            for ray in 0..3 {
-                for &x in &[1.0, 1.5, 7.3, 41.0, 124.9] {
-                    let a = linear.first_visit(robot, ray, x);
-                    let b = log.first_visit(robot, ray, x);
+        let mut times = Vec::new();
+        for ray in 0..3 {
+            for &x in &[1.0, 1.5, 7.3, 41.0, 124.9] {
+                for robot in 0..4 {
                     assert_eq!(
-                        a.map(f64::to_bits),
-                        b.map(f64::to_bits),
+                        linear.first_visit(robot, ray, x).map(f64::to_bits),
+                        log.first_visit(robot, ray, x).map(f64::to_bits),
                         "robot {robot}, ray {ray}, x {x}"
                     );
                 }
+                // any single robot silenced, the other two of f + 1 = 2
+                // confirmations still needed
+                for silenced in 0..4 {
+                    let mut draw = all_report(2);
+                    draw.silent.set(silenced);
+                    assert_eq!(
+                        detection_time(&linear, &draw, ray, x, &mut times).map(f64::to_bits),
+                        detection_time(&log, &draw, ray, x, &mut times).map(f64::to_bits),
+                        "robot {silenced} silent, ray {ray}, x {x}"
+                    );
+                }
             }
-            for ray in 0..3 {
-                assert_eq!(
-                    linear.boundaries_on_ray(ray, 1.0, 125.0),
-                    log.boundaries_on_ray(ray, 1.0, 125.0)
-                );
-            }
+            assert_eq!(
+                linear.boundaries_on_ray(ray, 1.0, 125.0),
+                log.boundaries_on_ray(ray, 1.0, 125.0)
+            );
         }
     }
 
@@ -307,66 +141,35 @@ mod tests {
         // k = 149 on the line: the linear fleet does not exist
         let strat = CyclicExponential::optimal(2, 149, 74).unwrap();
         assert!(strat.fleet_tours(4e12).is_err());
-        let table =
-            VisitTable::from_log_fleet(&strat.fleet_log_tours(4e12).unwrap(), 1e12).unwrap();
-        assert_eq!(table.num_robots(), 149);
-        // every in-range target is eventually visited by some robot
-        for &x in &[1.0, 1e3, 1e9, 1e12] {
-            assert!(
-                (0..149).any(|r| table.first_visit(r, 0, x).is_some()),
-                "x = {x} unreachable"
-            );
+        let fleet = optimal_fleet(&NoCache, 2, 149, 74, 1e12).unwrap();
+        assert_eq!(fleet.num_robots(), 149);
+        // every in-range target is eventually confirmed by f + 1 robots
+        let mut times = Vec::new();
+        for ray in 0..2 {
+            for &x in &[1.0, 1e3, 1e9, 1e12] {
+                let t = detection_time(&fleet, &all_report(75), ray, x, &mut times);
+                assert!(
+                    t.is_some_and(f64::is_finite),
+                    "ray {ray}, x = {x} undetected"
+                );
+            }
         }
     }
 
     #[test]
     fn compiled_artifact_table_is_bit_identical_to_the_streamed_one() {
-        use raysearch_core::FleetBuilder;
-        use raysearch_sim::RobotId;
-
-        let strat = CyclicExponential::optimal(3, 4, 1).unwrap();
-        let streamed =
-            VisitTable::from_log_fleet(&strat.fleet_log_tours(500.0).unwrap(), 125.0).unwrap();
-        let mut builder = FleetBuilder::new(3, 125.0).unwrap();
-        for r in 0..4 {
-            builder
-                .push_log_tour(&strat.log_tour_prefix(RobotId(r), 125.0).unwrap())
-                .unwrap();
+        // the artifact every sample reads, built from bounded tour
+        // prefixes under the evaluator's key, against full log tours
+        // streamed through a builder at the same cap
+        let shared = optimal_fleet(&NoCache, 3, 4, 1, 125.0).unwrap();
+        let mut streamed = FleetBuilder::new(3, 125.0).unwrap();
+        for tour in CyclicExponential::optimal(3, 4, 1)
+            .unwrap()
+            .fleet_log_tours(500.0)
+            .unwrap()
+        {
+            streamed.push_log_tour(&tour).unwrap();
         }
-        let shared = VisitTable::from_compiled(&builder.finish());
-        assert_eq!(shared, streamed, "piece-for-piece identical tables");
-    }
-
-    #[test]
-    fn streaming_builder_validates() {
-        assert!(VisitTable::new(0).is_err());
-        let mut table = VisitTable::new(2).unwrap();
-        let three_ray = CyclicExponential::optimal(3, 4, 1)
-            .unwrap()
-            .log_tour(raysearch_sim::RobotId(0), 100.0)
-            .unwrap();
-        assert!(table.push_log_tour(&three_ray, 100.0).is_err());
-        let two_ray = CyclicExponential::optimal(2, 3, 1)
-            .unwrap()
-            .log_tour(raysearch_sim::RobotId(0), 100.0)
-            .unwrap();
-        assert!(table.push_log_tour(&two_ray, f64::INFINITY).is_err());
-        assert!(table.push_log_tour(&two_ray, 100.0).is_ok());
-        assert_eq!(table.num_robots(), 1);
-        assert!(VisitTable::from_log_fleet(&[], 10.0).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_fleets() {
-        assert!(VisitTable::from_fleet(&[]).is_err());
-        let mut mixed = fleet();
-        mixed.push(
-            CyclicExponential::optimal(2, 3, 1)
-                .unwrap()
-                .fleet_tours(100.0)
-                .unwrap()
-                .remove(0),
-        );
-        assert!(VisitTable::from_fleet(&mixed).is_err());
+        assert_eq!(*shared, streamed.finish(), "piece-for-piece identical");
     }
 }

@@ -8,7 +8,7 @@
 //!   mean strictly below `Λ(q/k)`, empirical max within tolerance.
 
 use proptest::prelude::*;
-use raysearch_core::RayEvaluator;
+use raysearch_core::{CompiledFleet, RayEvaluator};
 use raysearch_mc::{estimate, FaultSampler, McConfig, McReport, Scenario, TargetSampler};
 use raysearch_strategies::{CyclicExponential, RayStrategy};
 
@@ -81,10 +81,11 @@ fn degenerate_point_mass_equals_the_exact_evaluator() {
     // detection ratio the evaluator computes — bit for bit
     let (m, k, f) = (3u32, 4u32, 1u32);
     let horizon = 1e3;
-    let fleet = CyclicExponential::optimal(m, k, f)
+    let tours = CyclicExponential::optimal(m, k, f)
         .unwrap()
         .fleet_tours(horizon * 4.0)
         .unwrap();
+    let fleet = CompiledFleet::from_tours(m as usize, horizon * 4.0, &tours).unwrap();
     let evaluator = RayEvaluator::new(m as usize, f, 1.0, horizon).unwrap();
     for (ray, x) in [(0usize, 1.0f64), (1, 2.5), (2, 77.0), (0, 999.0)] {
         let scenario = Scenario::new(

@@ -105,9 +105,10 @@ pub const CAMPAIGN_MC_SAMPLES: u64 = 5_000;
 /// fault models.
 pub const DEFAULT_MC_P: f64 = 0.1;
 /// Capacity of the compiled-fleet memo tier (entries, LRU). Artifacts
-/// are keyed by fleet *geometry* — deliberately `f`-free — so one entry
-/// serves every `/evaluate`, `/verdict` and `/montecarlo` request over
-/// the same `(strategy, m, k, α-or-η, horizon)`.
+/// are keyed by fleet geometry (`FleetKey`), so one entry serves every
+/// `/evaluate`, `/verdict` and `/montecarlo` request for the same
+/// instance and horizon; trivial-regime instances that differ only in
+/// `f` share one zone-partition entry.
 pub const COMPILE_CACHE_CAPACITY: usize = 64;
 /// Shards of the compiled-fleet memo tier.
 pub const COMPILE_CACHE_SHARDS: usize = 8;

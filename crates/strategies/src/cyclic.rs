@@ -203,8 +203,8 @@ impl CyclicExponential {
     /// The excursion sequence depends only on the excursion index, so
     /// this is an elementwise-identical prefix of `log_tour(h)` for any
     /// `h ≥ cap` — and the piece compiler
-    /// (`raysearch_core::compile_first_visit_pieces` with the same
-    /// `cap`) stops within exactly this prefix: it closes a ray at that
+    /// (`raysearch_core::FleetBuilder::push_log_tour` at the same `cap`)
+    /// stops within exactly this prefix: it closes a ray at that
     /// ray's first excursion reaching `cap`, and later excursions only
     /// contribute turning mass to pieces that are never created. For
     /// large fleets the prefix is tens of excursions where the padded

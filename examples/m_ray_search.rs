@@ -6,7 +6,7 @@
 //! ```
 
 use raysearch::bounds::{a_rays, cyclic_ratio, optimal_alpha, RayInstance};
-use raysearch::core::RayEvaluator;
+use raysearch::core::{CompiledFleet, RayEvaluator};
 use raysearch::strategies::{CyclicExponential, RayStrategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // scale relative to (alpha* - 1) so every swept base stays > 1
         let alpha = 1.0 + (astar - 1.0) * 1.3f64.powi(step);
         let strategy = CyclicExponential::with_alpha(m, k, f, alpha)?;
-        let fleet = strategy.fleet_tours(1e5)?;
+        let fleet = CompiledFleet::from_tours(m as usize, 1e5, &strategy.fleet_tours(1e5)?)?;
         let measured = evaluator.evaluate(&fleet)?.ratio;
         let formula = cyclic_ratio(alpha, q, k)?;
         println!("  {alpha:.4}    {formula:>8.4}    {measured:>8.4}");
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // turning point on some ray.
     // ------------------------------------------------------------------
     let strategy = CyclicExponential::optimal(m, k, f)?;
-    let fleet = strategy.fleet_tours(1e5)?;
+    let fleet = CompiledFleet::from_tours(m as usize, 1e5, &strategy.fleet_tours(1e5)?)?;
     let report = evaluator.evaluate(&fleet)?;
     let w = report.worst.expect("covered");
     println!(

@@ -6,7 +6,8 @@
 //! ```
 
 use raysearch::bounds::{LineInstance, Regime};
-use raysearch::core::{LineEvaluator, RayEvaluator};
+use raysearch::core::{CompiledFleet, RayEvaluator};
+use raysearch::sim::LineItinerary;
 use raysearch::strategies::{CyclicExponential, LineStrategy, RayStrategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,11 +34,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // 2. Run the optimal strategy on the line and measure its ratio
     //    exactly (no sampling: the evaluator enumerates breakpoints).
+    //    The line is the two-ray case: each robot's zig-zag compiles as
+    //    a two-ray tour, ray 0 being the positive side.
     // ------------------------------------------------------------------
     let (k, f) = (3u32, 1u32);
     let strategy = CyclicExponential::optimal(2, k, f)?.to_line()?;
-    let fleet = strategy.fleet_itineraries(1e6)?;
-    let report = LineEvaluator::new(f, 1.0, 1e5)?.evaluate(&fleet)?;
+    let itineraries = strategy.fleet_itineraries(1e6)?;
+    let tours = itineraries.iter().map(LineItinerary::to_two_ray_tour);
+    let fleet = CompiledFleet::from_tours(2, 1e6, tours)?;
+    let report = RayEvaluator::new(2, f, 1.0, 1e5)?.evaluate(&fleet)?;
     let theory = LineInstance::new(k, f)?
         .regime()
         .ratio()
@@ -64,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nTheorem 6 — parallel search on m rays (f = 0):");
     for (m, k) in [(3u32, 1u32), (3, 2), (4, 3), (5, 2)] {
         let strategy = CyclicExponential::optimal(m, k, 0)?;
-        let fleet = strategy.fleet_tours(1e6)?;
+        let fleet = CompiledFleet::from_tours(m as usize, 1e6, &strategy.fleet_tours(1e6)?)?;
         let measured = RayEvaluator::new(m as usize, 0, 1.0, 1e4)?
             .evaluate(&fleet)?
             .ratio;

@@ -4,9 +4,11 @@
 //! random strategies and random targets.
 
 use proptest::prelude::*;
-use raysearch::core::{LineEvaluator, RayEvaluator};
+use raysearch::core::{CompiledFleet, RayEvaluator};
 use raysearch::faults::CrashAdversary;
-use raysearch::sim::{LinePoint, LineTrajectory, RayId, RayPoint, RayTrajectory, VisitEngine};
+use raysearch::sim::{
+    LineItinerary, LinePoint, LineTrajectory, RayId, RayPoint, RayTrajectory, VisitEngine,
+};
 use raysearch::strategies::{CyclicExponential, LineStrategy, RandomGeometric, RayStrategy};
 
 proptest! {
@@ -24,6 +26,7 @@ proptest! {
         let (m, k) = (3u32, f + 2); // k > f always
         let strategy = RandomGeometric::new(m, k, f, seed, (1.2, 2.8)).unwrap();
         let tours = strategy.fleet_tours(2e3).unwrap();
+        let fleet = CompiledFleet::from_tours(m as usize, 2e3, &tours).unwrap();
         let evaluator = RayEvaluator::new(m as usize, f, 1.0, 1e3).unwrap();
 
         let engine = VisitEngine::new(
@@ -33,7 +36,7 @@ proptest! {
         let adversary = CrashAdversary::new(f as usize);
 
         let x = x_scale;
-        let symbolic = evaluator.detection_time(&tours, ray, x).unwrap();
+        let symbolic = evaluator.detection_time(&fleet, ray, x).unwrap();
         let point = RayPoint::new(RayId::new(ray, m as usize).unwrap(), x).unwrap();
         let truth = adversary
             .detection_time(&engine.schedule(point))
@@ -60,15 +63,24 @@ proptest! {
         let (k, f) = [(1u32, 0u32), (3, 1), (5, 2), (7, 3)][kf];
         let strategy = CyclicExponential::optimal(2, k, f).unwrap().to_line().unwrap();
         let fleet = strategy.fleet_itineraries(5e3).unwrap();
-        let evaluator = LineEvaluator::new(f, 1.0, 2e3).unwrap();
+        let compiled = CompiledFleet::from_tours(
+            2,
+            5e3,
+            fleet.iter().map(LineItinerary::to_two_ray_tour),
+        )
+        .unwrap();
+        let evaluator = RayEvaluator::new(2, f, 1.0, 2e3).unwrap();
         let engine = VisitEngine::new(
             fleet.iter().map(LineTrajectory::compile).collect::<Vec<_>>(),
         )
         .unwrap();
         let adversary = CrashAdversary::new(f as usize);
 
+        // ray 0 is the positive side
         let x = if sign { x_scale } else { -x_scale };
-        let symbolic = evaluator.detection_time(&fleet, x).unwrap();
+        let symbolic = evaluator
+            .detection_time(&compiled, usize::from(!sign), x_scale)
+            .unwrap();
         let truth = adversary
             .detection_time(&engine.schedule(LinePoint::new(x).unwrap()))
             .map(|t| t.as_f64());
@@ -92,11 +104,12 @@ proptest! {
         let (m, k, f) = (2u32, 2u32, 0u32);
         let strategy = RandomGeometric::new(m, k, f, seed, (1.3, 2.2)).unwrap();
         let tours = strategy.fleet_tours(2e3).unwrap();
+        let fleet = CompiledFleet::from_tours(m as usize, 2e3, &tours).unwrap();
         let evaluator = RayEvaluator::new(m as usize, f, 1.0, 100.0).unwrap();
-        let report = evaluator.evaluate(&tours).unwrap();
+        let report = evaluator.evaluate(&fleet).unwrap();
         prop_assume!(report.is_covered());
         let x = x_scale;
-        if let Some(t) = evaluator.detection_time(&tours, ray, x).unwrap() {
+        if let Some(t) = evaluator.detection_time(&fleet, ray, x).unwrap() {
             prop_assert!(
                 t / x <= report.ratio * (1.0 + 1e-12),
                 "point ratio {} above reported sup {}",

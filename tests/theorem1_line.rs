@@ -5,10 +5,22 @@
 //! (lower-bound falsification).
 
 use raysearch::bounds::{a_line, lambda_to_mu, LineInstance, Regime};
-use raysearch::core::{LineEvaluator, RayEvaluator};
+use raysearch::core::{CompiledFleet, EvalReport, RayEvaluator};
 use raysearch::cover::settings::{merge_fleet_intervals, OrcSetting};
 use raysearch::cover::CoverageProfile;
+use raysearch::sim::LineItinerary;
 use raysearch::strategies::{CyclicExponential, LineStrategy, RayStrategy};
+
+/// Evaluates a line fleet as two-ray tours (ray 0 the positive side)
+/// against `f` crash faults over targets `1 ≤ |x| ≤ hi`.
+fn evaluate_line(
+    fleet: &[LineItinerary],
+    f: u32,
+    hi: f64,
+) -> Result<EvalReport, raysearch::core::CoreError> {
+    let tours = fleet.iter().map(LineItinerary::to_two_ray_tour);
+    RayEvaluator::new(2, f, 1.0, hi)?.evaluate(&CompiledFleet::from_tours(2, hi, tours)?)
+}
 
 /// Every searchable (k, f) with k <= 8: the optimal strategy measures at
 /// A(k, f) on the exact evaluator (within finite-horizon slack) and never
@@ -26,10 +38,7 @@ fn theorem1_upper_bound_measured_for_all_small_instances() {
                 .to_line()
                 .unwrap();
             let fleet = strategy.fleet_itineraries(1e6).unwrap();
-            let report = LineEvaluator::new(f, 1.0, 1e4)
-                .unwrap()
-                .evaluate(&fleet)
-                .unwrap();
+            let report = evaluate_line(&fleet, f, 1e4).unwrap();
             assert!(report.is_covered(), "(k={k}, f={f}) uncovered");
             assert!(
                 report.ratio <= theory + 1e-9,
@@ -83,10 +92,7 @@ fn theorem1_regime_boundaries() {
     use raysearch::strategies::baselines::TwoWaySaturation;
     let s = TwoWaySaturation::new(4, 1).unwrap();
     let fleet = s.fleet_itineraries(1e3).unwrap();
-    let r = LineEvaluator::new(1, 1.0, 500.0)
-        .unwrap()
-        .evaluate(&fleet)
-        .unwrap();
+    let r = evaluate_line(&fleet, 1, 500.0).unwrap();
     assert!((r.ratio - 1.0).abs() < 1e-12);
 
     // impossibility: with k = f every fleet fails — no strategy can get
@@ -97,10 +103,7 @@ fn theorem1_regime_boundaries() {
         .unwrap();
     let fleet = strategy.fleet_itineraries(1e3).unwrap();
     // f = 3 with k = 3 robots: evaluator refuses (needs > f robots)
-    assert!(LineEvaluator::new(3, 1.0, 100.0)
-        .unwrap()
-        .evaluate(&fleet)
-        .is_err());
+    assert!(evaluate_line(&fleet, 3, 100.0).is_err());
 }
 
 /// The line problem and its two-ray formulation agree end to end: the
@@ -116,14 +119,10 @@ fn line_and_two_ray_views_agree() {
 
         let ray_ratio = RayEvaluator::new(2, f, 1.0, 1e4)
             .unwrap()
-            .evaluate(&tours)
+            .evaluate(&CompiledFleet::from_tours(2, 1e5, &tours).unwrap())
             .unwrap()
             .ratio;
-        let line_ratio = LineEvaluator::new(f, 1.0, 1e4)
-            .unwrap()
-            .evaluate(&itineraries)
-            .unwrap()
-            .ratio;
+        let line_ratio = evaluate_line(&itineraries, f, 1e4).unwrap().ratio;
         assert!(
             (ray_ratio - line_ratio).abs() < 1e-9,
             "(k={k}, f={f}): ray {ray_ratio} vs line {line_ratio}"

@@ -3,7 +3,7 @@
 
 use raysearch::bounds::{a_rays, c_fractional, c_orc, lambda_to_mu, RayInstance, Regime};
 use raysearch::core::verdict::verify_tightness;
-use raysearch::core::RayEvaluator;
+use raysearch::core::{CompiledFleet, RayEvaluator};
 use raysearch::cover::settings::{merge_fleet_intervals, OrcSetting};
 use raysearch::cover::CoverageProfile;
 use raysearch::strategies::{CyclicExponential, RayStrategy};
@@ -139,6 +139,7 @@ fn perturbation_never_improves() {
     for seed in 0..10u64 {
         let jittered = Perturbed::new(base.clone(), 0.15, seed).unwrap();
         let fleet = jittered.fleet_tours(1e5).unwrap();
+        let fleet = CompiledFleet::from_tours(m as usize, 1e5, &fleet).unwrap();
         let report = evaluator.evaluate(&fleet).unwrap();
         let measured = report.ratio;
         assert!(
@@ -158,6 +159,7 @@ fn dedicated_shape_measured_time_ratio() {
     for (m, k) in [(3u32, 2u32), (4, 3)] {
         let dedicated = DedicatedPlusSweeper::new(m, k).unwrap();
         let fleet = dedicated.fleet_tours(1e5).unwrap();
+        let fleet = CompiledFleet::from_tours(m as usize, 1e5, &fleet).unwrap();
         let measured = RayEvaluator::new(m as usize, 0, 1.0, 1e4)
             .unwrap()
             .evaluate(&fleet)
