@@ -11,7 +11,8 @@
 //!
 //! * [`CompiledFleet`] — the arena-backed artifact: one contiguous piece
 //!   arena per ray, holding every robot's pieces on that ray robot by
-//!   robot, with `(robot, ray)` span indices into it;
+//!   robot, with `(robot, ray)` span indices into it, and beside it the
+//!   ray's sweep plan, which the exact evaluator walks;
 //! * [`FleetBuilder`] — streaming construction, one tour at a time,
 //!   written straight into the arenas and truncated at the cap;
 //! * [`optimal_fleet`] — the fleet attaining `A(m, k, f)`, and the one
@@ -90,13 +91,116 @@ pub enum FleetKey {
     },
 }
 
-/// A compiled fleet: every robot's first-visit pieces on every ray.
+/// The `enter` rank of a [`Transition`] at which a robot's plan on the
+/// ray ends.
+pub(crate) const PLAN_ENDS: u32 = u32::MAX;
+
+/// One finite right end in a ray's [`SweepPlan`]: for probes past `at`,
+/// the piece's constant (rank `leave`) leaves the multiset of covering
+/// constants, and the robot's next piece's constant (rank `enter`)
+/// enters it, or the robot's plan ends there (`enter = PLAN_ENDS`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Transition {
+    pub(crate) at: f64,
+    pub(crate) leave: u32,
+    pub(crate) enter: u32,
+}
+
+/// A ray's sweep plan: what the exact evaluator's sweep needs of the
+/// ray, none of which depends on `f` or on the evaluation range.
+///
+/// It rests on the tiling [`FleetBuilder`] guarantees: a robot's first
+/// piece on a ray starts at 0, and each next piece starts bit for bit
+/// where the one before ends. So the piece boundaries in any `(lo, hi)`
+/// with `lo ≥ 0` are exactly the distinct finite right ends there, and
+/// crossing a right end swaps one constant for the next.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SweepPlan {
+    /// The ray's distinct constants in `total_cmp` order, deduplicated
+    /// by bit pattern; a constant's rank is its index here.
+    pub(crate) constants: Vec<f64>,
+    /// The first-piece rank of every robot with pieces on the ray.
+    pub(crate) first: Vec<u32>,
+    /// Every piece's finite right end, sorted by position.
+    pub(crate) transitions: Vec<Transition>,
+}
+
+impl SweepPlan {
+    /// The plan of one ray's `arena`, whose robot runs are `spans`.
+    fn new(arena: &[FirstVisitPiece], spans: impl Iterator<Item = (u32, u32)>) -> SweepPlan {
+        // rank every piece's constant: sorting (key, index) pairs puts
+        // equal constants side by side, and the key is a bijection of
+        // the bit pattern
+        let mut order: Vec<(u64, u32)> = arena
+            .iter()
+            .zip(0u32..)
+            .map(|(p, i)| (total_order_key(p.c), i))
+            .collect();
+        order.sort_unstable();
+        let mut ranks = vec![0u32; arena.len()];
+        let mut constants = Vec::new();
+        let mut last_key = None;
+        for &(key, i) in &order {
+            if last_key != Some(key) {
+                last_key = Some(key);
+                constants.push(arena[i as usize].c);
+            }
+            ranks[i as usize] = constants.len() as u32 - 1;
+        }
+        let mut first = Vec::new();
+        let mut transitions = Vec::with_capacity(arena.len());
+        for (start, end) in spans.map(|(a, b)| (a as usize, b as usize)) {
+            if start == end {
+                continue;
+            }
+            first.push(ranks[start]);
+            for j in start..end {
+                // a straddling `hi = ∞` piece never leaves
+                if arena[j].hi.is_finite() {
+                    transitions.push(Transition {
+                        at: arena[j].hi,
+                        leave: ranks[j],
+                        enter: if j + 1 < end { ranks[j + 1] } else { PLAN_ENDS },
+                    });
+                }
+            }
+        }
+        // right ends are positive and finite, where the bit pattern
+        // orders like the value
+        transitions.sort_unstable_by_key(|t| t.at.to_bits());
+        SweepPlan {
+            constants,
+            first,
+            transitions,
+        }
+    }
+}
+
+/// `x`'s bit pattern, mapped so unsigned order is [`f64::total_cmp`]'s.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// A compiled fleet: every robot's first-visit pieces on every ray, and
+/// each ray's sweep plan.
 ///
 /// Storage is one arena per ray: `rays[ray]` holds robot 0's pieces on
 /// that ray, then robot 1's, and so on, and robot `r`'s run is the index
-/// range `spans[r·m + ray]`, sorted by strictly increasing `lo`. A
-/// whole-ray sweep reads one contiguous slice; a `(robot, ray)` lookup
-/// is one binary search inside its span. Pieces are valid for queries
+/// range `spans[r·m + ray]`. A run tiles `(0, reach]`: its first piece
+/// starts at 0 and each next piece's `lo` is the previous `hi`, bit for
+/// bit. A `(robot, ray)` lookup is one binary search inside its span.
+/// Beside each arena sits the ray's sweep plan: its distinct constants
+/// in order, each robot's first-piece rank, and the finite right ends in
+/// order of position with the ranks that leave and enter there. The
+/// exact evaluator walks the plans instead of the pieces, and
+/// [`boundaries_on_ray`](CompiledFleet::boundaries_on_ray) reads the
+/// right ends. The plans cost about as many bytes as the arenas (see
+/// [`CompileMemo`]). Pieces are valid for queries
 /// `x ≤ cap`: every piece with `lo < cap` is kept, later ones are not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFleet {
@@ -104,6 +208,8 @@ pub struct CompiledFleet {
     rays: Vec<Vec<FirstVisitPiece>>,
     /// `spans[robot * m + ray] = (first, last+1)` into `rays[ray]`.
     spans: Vec<(u32, u32)>,
+    /// `plans[ray]`, built by [`FleetBuilder::finish`].
+    plans: Vec<SweepPlan>,
 }
 
 impl CompiledFleet {
@@ -176,10 +282,9 @@ impl CompiledFleet {
         &self.rays[ray][a as usize..b as usize]
     }
 
-    /// Every robot's pieces on `ray`, robot by robot: the multiset the
-    /// evaluator's event sweep runs over.
-    pub(crate) fn ray_pieces(&self, ray: usize) -> &[FirstVisitPiece] {
-        &self.rays[ray]
+    /// The sweep plan of `ray`.
+    pub(crate) fn plan(&self, ray: usize) -> &SweepPlan {
+        &self.plans[ray]
     }
 
     /// First-visit time of `robot` to a target at distance `x` on
@@ -198,19 +303,26 @@ impl CompiledFleet {
     }
 
     /// All piece boundaries on `ray` strictly inside `(lo, hi)`, sorted
-    /// and deduplicated: the exact adversary's candidate targets.
+    /// and deduplicated: the exact adversary's candidate targets. They
+    /// are 0, where every robot's first piece starts, and the plan's
+    /// right ends.
     ///
     /// # Panics
     ///
     /// Panics if `ray` is out of range.
     pub fn boundaries_on_ray(&self, ray: usize, lo: f64, hi: f64) -> Vec<f64> {
-        let mut bs: Vec<f64> = self.rays[ray]
-            .iter()
-            .flat_map(|p| [p.lo, p.hi])
-            .filter(|&b| b > lo && b < hi)
-            .collect();
-        bs.sort_by(f64::total_cmp);
-        bs.dedup();
+        let ends = &self.plans[ray].transitions;
+        let mut bs = Vec::new();
+        if lo < 0.0 && 0.0 < hi && !self.rays[ray].is_empty() {
+            bs.push(0.0);
+        }
+        let start = ends.partition_point(|t| t.at <= lo);
+        // `at > lo` keeps a NaN `lo` empty, as the comparisons always did
+        for t in ends[start..].iter().take_while(|t| t.at > lo && t.at < hi) {
+            if bs.last() != Some(&t.at) {
+                bs.push(t.at);
+            }
+        }
         bs
     }
 }
@@ -264,6 +376,7 @@ impl FleetBuilder {
                 cap,
                 rays: vec![Vec::new(); m],
                 spans: Vec::new(),
+                plans: Vec::new(),
             },
         })
     }
@@ -316,7 +429,9 @@ impl FleetBuilder {
         num_rays: usize,
         excursions: impl Iterator<Item = (usize, f64)>,
     ) -> Result<(), CoreError> {
-        let CompiledFleet { cap, rays, spans } = &mut self.fleet;
+        let CompiledFleet {
+            cap, rays, spans, ..
+        } = &mut self.fleet;
         let (cap, m) = (*cap, rays.len());
         if num_rays != m {
             return Err(CoreError::invalid(format!(
@@ -369,8 +484,18 @@ impl FleetBuilder {
         Ok(())
     }
 
-    /// Finalizes the artifact.
-    pub fn finish(self) -> CompiledFleet {
+    /// Finalizes the artifact, building each ray's sweep plan.
+    pub fn finish(mut self) -> CompiledFleet {
+        let fleet = &mut self.fleet;
+        let m = fleet.rays.len();
+        fleet.plans = (0..m)
+            .map(|ray| {
+                SweepPlan::new(
+                    &fleet.rays[ray],
+                    fleet.spans.iter().skip(ray).step_by(m).copied(),
+                )
+            })
+            .collect();
         self.fleet
     }
 }
@@ -503,9 +628,12 @@ impl CompileStats {
 /// Compilation happens under the shard lock, so concurrent requests for
 /// the same key compile exactly once and everyone else blocks briefly
 /// and shares the artifact. Errors are never cached. The memo is
-/// unbounded — artifacts are a few hundred kilobytes at the largest
-/// fleet sizes, and a campaign's key set is finite; a serving layer
-/// that needs eviction wraps its own bounded store instead.
+/// unbounded, because a campaign's key set is finite; a serving layer
+/// that needs eviction wraps its own bounded store instead. An artifact
+/// costs about 48 bytes per piece: 24 in the arena and 24 in the sweep
+/// plans. The largest e12 cell (`m = 2`, `k = 4096`, `f = 4095`,
+/// horizon `1e12`) holds 181,710 pieces, or 8.8 MB (4.43 MB of arena
+/// and 4.36 MB of plan), and the full 24-cell e12 sweep about 40 MB.
 ///
 /// # Example
 ///
@@ -633,6 +761,8 @@ impl<C: CompileCache + ?Sized> CompileCache for Arc<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raysearch_sim::{Excursion, LineItinerary, RayId};
+    use raysearch_strategies::{DoublingCowPath, LineStrategy, ReplicatedDoubling};
 
     fn cyclic_fleet(cap: f64) -> CompiledFleet {
         let s = CyclicExponential::optimal(3, 4, 1).unwrap();
@@ -699,7 +829,7 @@ mod tests {
             let tiled: Vec<FirstVisitPiece> = (0..fleet.num_robots())
                 .flat_map(|robot| fleet.pieces(robot, ray).iter().copied())
                 .collect();
-            assert_eq!(tiled, fleet.ray_pieces(ray), "ray {ray}");
+            assert_eq!(tiled, fleet.rays[ray], "ray {ray}");
             total += tiled.len();
         }
         assert_eq!(total, fleet.num_pieces());
@@ -742,6 +872,75 @@ mod tests {
         b.finish().first_visit(0, 2, 5.0);
     }
 
+    /// A two-ray fleet of one robot that only ever walks ray 0.
+    fn one_sided_fleet(cap: f64) -> CompiledFleet {
+        let ray0 = RayId::new(0, 2).unwrap();
+        let excursions = [3.0, 40.0, 2.0 * cap]
+            .map(|turn| Excursion::new(ray0, turn).unwrap())
+            .to_vec();
+        CompiledFleet::from_tours(2, cap, [TourItinerary::new(2, excursions).unwrap()]).unwrap()
+    }
+
+    /// Asserts the tiling the sweep plan relies on: every `(robot, ray)`
+    /// run starts at 0, each next piece starts bit for bit where the one
+    /// before ends, and only a run's last piece may end at ∞.
+    fn assert_tiles(fleet: &CompiledFleet, at: &str) {
+        for robot in 0..fleet.num_robots() {
+            for ray in 0..fleet.num_rays() {
+                let pieces = fleet.pieces(robot, ray);
+                let mut reach = 0.0f64;
+                for (j, p) in pieces.iter().enumerate() {
+                    let at = format!("{at}: robot {robot}, ray {ray}, piece {j}");
+                    assert_eq!(p.lo.to_bits(), reach.to_bits(), "{at}");
+                    assert!(p.hi > p.lo, "{at}");
+                    assert!(p.hi.is_finite() || j + 1 == pieces.len(), "{at}");
+                    reach = p.hi;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_robot_run_tiles_from_zero() {
+        let s = CyclicExponential::optimal(3, 5, 1).unwrap();
+        let tours = |horizon| s.fleet_tours(horizon).unwrap();
+        assert_tiles(
+            &CompiledFleet::from_tours(3, 1e4, tours(4e4)).unwrap(),
+            "push_tour",
+        );
+        assert_tiles(
+            &CompiledFleet::from_tours(3, 1e4, tours(300.0)).unwrap(),
+            "short tours",
+        );
+        assert_tiles(&cyclic_fleet(1e4), "push_log_tour");
+        assert_tiles(
+            &optimal_fleet(&NoCache, 2, 149, 74, 1e6).unwrap(),
+            "k = 149",
+        );
+        assert_tiles(
+            &optimal_fleet(&NoCache, 3, 7, 1, 1e4).unwrap(),
+            "zone partition",
+        );
+        assert_tiles(&one_sided_fleet(100.0), "one-sided");
+        let cyclic_line = CyclicExponential::optimal(2, 5, 2)
+            .unwrap()
+            .to_line()
+            .unwrap();
+        let lines = [
+            DoublingCowPath::classic().fleet_itineraries(1e4).unwrap(),
+            ReplicatedDoubling::new(3)
+                .unwrap()
+                .fleet_itineraries(1e4)
+                .unwrap(),
+            cyclic_line.fleet_itineraries(4e4).unwrap(),
+        ];
+        for (i, line) in lines.iter().enumerate() {
+            let two_ray = line.iter().map(LineItinerary::to_two_ray_tour);
+            let fleet = CompiledFleet::from_tours(2, 1e4, two_ray).unwrap();
+            assert_tiles(&fleet, &format!("line fleet {i}"));
+        }
+    }
+
     #[test]
     fn boundaries_are_sorted_in_range() {
         let fleet = cyclic_fleet(500.0);
@@ -749,6 +948,64 @@ mod tests {
         assert!(!bs.is_empty());
         assert!(bs.windows(2).all(|w| w[0] < w[1]));
         assert!(bs.iter().all(|&b| b > 1.0 && b < 400.0));
+        // the plan walk answers like collecting, sorting and deduplicating
+        // every piece end, on duplicate ends, early-ending plans and empty
+        // rays, for ranges below 0, on boundaries, empty or not a number
+        let replicated = ReplicatedDoubling::new(3)
+            .unwrap()
+            .fleet_itineraries(500.0)
+            .unwrap();
+        let short = CyclicExponential::optimal(3, 4, 1)
+            .unwrap()
+            .fleet_tours(100.0)
+            .unwrap();
+        let fleets = [
+            fleet.clone(),
+            CompiledFleet::from_tours(
+                2,
+                500.0,
+                replicated.iter().map(LineItinerary::to_two_ray_tour),
+            )
+            .unwrap(),
+            CompiledFleet::from_tours(3, 500.0, short).unwrap(),
+            one_sided_fleet(500.0),
+        ];
+        let on = fleet.pieces(1, 0)[2].hi;
+        let ranges = [
+            (1.0, 400.0),
+            (-1.0, 400.0),
+            (-1.0, 0.0),
+            (-1.0, 1e-3),
+            (-0.0, 10.0),
+            (0.0, 50.0),
+            (on, 400.0),
+            (1.0, on),
+            (on, on),
+            (50.0, 2.0),
+            (-1.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 1e9),
+            (f64::NAN, 400.0),
+            (-1.0, f64::NAN),
+        ];
+        for (i, fleet) in fleets.iter().enumerate() {
+            for ray in 0..fleet.num_rays() {
+                for (lo, hi) in ranges {
+                    let mut reference: Vec<f64> = fleet.rays[ray]
+                        .iter()
+                        .flat_map(|p| [p.lo, p.hi])
+                        .filter(|&b| b > lo && b < hi)
+                        .collect();
+                    reference.sort_by(f64::total_cmp);
+                    reference.dedup();
+                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(fleet.boundaries_on_ray(ray, lo, hi)),
+                        bits(reference),
+                        "fleet {i}, ray {ray}, ({lo}, {hi})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

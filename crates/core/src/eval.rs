@@ -12,12 +12,22 @@
 //! enumerating boundaries; nothing is sampled.
 //!
 //! The pieces come from one place, a [`CompiledFleet`]; the line is the
-//! two-ray case. This is the measurement side of the paper: running it
-//! on the [`CyclicExponential`](raysearch_strategies::CyclicExponential)
+//! two-ray case. Every ordering the evaluation needs depends only on
+//! the fleet's geometry, and `f` enters only at the order-statistic
+//! selection. So the artifact carries each ray's *sweep plan*, built
+//! once at compile time: the ray's distinct constants in order, each
+//! robot's first-piece rank, and the pieces' finite right ends in order
+//! of position, each naming the constant that leaves and the one that
+//! enters (or that the robot's plan ends there). An evaluation is one
+//! linear pass over each ray's plan with a Fenwick tree of counts; it
+//! orders nothing itself.
+//!
+//! This is the measurement side of the paper: running it on the
+//! [`CyclicExponential`](raysearch_strategies::CyclicExponential)
 //! strategy reproduces `Λ(q/k)` to floating-point accuracy (experiments
 //! E1/E4/E5).
 
-use crate::compiled::{optimal_fleet, CompileCache, CompiledFleet, FirstVisitPiece, NoCache};
+use crate::compiled::{optimal_fleet, CompileCache, CompiledFleet, NoCache, SweepPlan, PLAN_ENDS};
 use crate::CoreError;
 
 /// The target realizing (in the limit) the worst-case ratio.
@@ -173,10 +183,10 @@ impl SupAccum {
     }
 }
 
-/// A Fenwick (binary indexed) tree of counts over compressed constant
-/// indices, supporting point updates and order-statistic selection.
+/// A Fenwick (binary indexed) tree of counts over constant ranks,
+/// supporting point updates and order-statistic selection.
 struct Fenwick {
-    tree: Vec<i64>,
+    tree: Vec<i32>,
 }
 
 impl Fenwick {
@@ -187,7 +197,7 @@ impl Fenwick {
     }
 
     /// Adds `delta` to index `i` (0-based).
-    fn add(&mut self, i: usize, delta: i64) {
+    fn add(&mut self, i: usize, delta: i32) {
         let mut i = i + 1;
         while i < self.tree.len() {
             self.tree[i] += delta;
@@ -197,7 +207,7 @@ impl Fenwick {
 
     /// The smallest 0-based index whose prefix count reaches `k`
     /// (1-based rank). Precondition: the total count is at least `k`.
-    fn select(&self, mut k: i64) -> usize {
+    fn select(&self, mut k: i32) -> usize {
         let n = self.tree.len() - 1;
         let mut pos = 0usize;
         let mut mask = n.next_power_of_two();
@@ -213,99 +223,69 @@ impl Fenwick {
     }
 }
 
-/// The event-sweep sup engine over one ray's flattened piece multiset.
+/// The sup over one ray: one left-to-right pass over the ray's
+/// [`SweepPlan`].
 ///
-/// Semantically identical to probing every boundary's right-limit with
-/// a per-robot lookup and selecting the `(f+1)`-st smallest active
-/// constant — the historical `O(B·k·log P)` inner loop — but organized
-/// as one left-to-right sweep: pieces activate (`lo`) and deactivate
-/// (`hi`) as interval events, a Fenwick tree over the
-/// coordinate-compressed constants maintains the active multiset, and
-/// each boundary costs one `O(log U)` order-statistic selection. Since
-/// a robot's pieces on a ray tile `(0, reach]` disjointly, the active
-/// piece count at a probe equals the number of robots whose plan covers
-/// the probe, so coverage and selection agree exactly — every reported
-/// value is bit-for-bit the one the per-robot scan produced
-/// (comparisons are `total_cmp` throughout, and constants are
-/// deduplicated by bit pattern).
-fn sup_over_flat_pieces(
-    pieces: &[FirstVisitPiece],
-    f: u32,
-    lo: f64,
-    hi: f64,
-    ray: usize,
-    acc: &mut SupAccum,
-) {
-    let needed = f as usize + 1;
-    // candidate left-ends: lo plus all piece boundaries in (lo, hi)
-    let mut bs: Vec<f64> = vec![lo];
-    // activation/deactivation events; a piece is active at probe `x`
-    // iff `p.lo < x && x <= p.hi`, so `lo` enters and `hi` leaves as
-    // soon as the probe passes them (straddling `hi = ∞` never leaves)
-    let mut events: Vec<(f64, f64, i64)> = Vec::with_capacity(2 * pieces.len());
-    let mut constants: Vec<f64> = Vec::with_capacity(pieces.len());
-    for p in pieces {
-        if p.lo > lo && p.lo < hi {
-            bs.push(p.lo);
-        }
-        if p.hi > lo && p.hi < hi {
-            bs.push(p.hi);
-        }
-        events.push((p.lo, p.c, 1));
-        if p.hi.is_finite() {
-            events.push((p.hi, p.c, -1));
-        }
-        constants.push(p.c);
+/// The candidate targets are `lo` and every distinct right end in
+/// `(lo, hi)`. Each is probed at the midpoint of the segment it opens,
+/// where no boundary lies, so every robot's constant is uniform on the
+/// segment. A Fenwick tree over constant ranks holds the multiset of
+/// constants covering the probe: it starts with every robot's first
+/// piece, and each right end passed swaps the leaving constant for the
+/// entering one. The covering count is the number of robots whose plan
+/// reaches the probe, and the `(f+1)`-st smallest constant is one
+/// `O(log U)` selection. Constants are ranked in `total_cmp` order, one
+/// rank per bit pattern, so the selected value is exactly the per-robot
+/// order statistic.
+fn sweep_ray(plan: &SweepPlan, needed: usize, lo: f64, hi: f64, ray: usize, acc: &mut SupAccum) {
+    let ends = &plan.transitions;
+    let mut counts = Fenwick::new(plan.constants.len());
+    for &rank in &plan.first {
+        counts.add(rank as usize, 1);
     }
-    bs.sort_by(f64::total_cmp);
-    bs.dedup();
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // compress the constant values; dedup by bit pattern so selection
-    // returns exactly the value the uncompressed order statistic would
-    constants.sort_by(f64::total_cmp);
-    constants.dedup_by(|a, b| a.to_bits() == b.to_bits());
-
-    let mut counts = Fenwick::new(constants.len());
-    let mut active = 0i64;
-    let mut next_event = 0usize;
-    for (i, &b) in bs.iter().enumerate() {
+    let mut active = plan.first.len();
+    let mut applied = 0;
+    let mut next_end = ends.partition_point(|t| t.at <= lo);
+    let mut b = lo;
+    loop {
         acc.examined += 1;
-        let next = bs.get(i + 1).copied().unwrap_or(hi);
-        // an interior probe point of (b, next): no boundary lies inside,
-        // so every robot's constant is uniform on the whole open segment
-        let probe = 0.5 * (b + next);
-        // probes strictly increase, so the event pointer only advances
-        while next_event < events.len() && events[next_event].0 < probe {
-            let (_, c, delta) = events[next_event];
-            let idx = constants.partition_point(|x| x.total_cmp(&c).is_lt());
-            counts.add(idx, delta);
-            active += delta;
-            next_event += 1;
-        }
-        if (active as usize) < needed {
-            if acc.uncovered.is_none() {
-                acc.uncovered = Some(WorstTarget {
-                    ray,
-                    x: probe,
-                    detection_limit: f64::INFINITY,
-                });
+        let next = ends.get(next_end).map(|t| t.at).filter(|&at| at < hi);
+        let probe = 0.5 * (b + next.unwrap_or(hi));
+        // probes strictly increase, so the transition pointer only
+        // advances; transitions at one position apply in any order,
+        // because Fenwick adds commute
+        while let Some(t) = ends.get(applied).filter(|t| t.at < probe) {
+            counts.add(t.leave as usize, -1);
+            if t.enter == PLAN_ENDS {
+                active -= 1;
+            } else {
+                counts.add(t.enter as usize, 1);
             }
-            continue;
+            applied += 1;
         }
-        // the (f+1)-st smallest active constant, straight off the tree
-        let c = constants[counts.select(needed as i64)];
-        let candidate = WorstTarget {
-            ray,
-            x: b,
-            detection_limit: c + b,
-        };
-        let ratio = candidate.detection_limit / candidate.x;
-        let better = match &acc.best {
-            Some(w) => ratio > w.detection_limit / w.x,
-            None => true,
-        };
-        if better {
-            acc.best = Some(candidate);
+        if active < needed {
+            acc.uncovered.get_or_insert(WorstTarget {
+                ray,
+                x: probe,
+                detection_limit: f64::INFINITY,
+            });
+        } else {
+            // the (f+1)-st smallest covering constant, straight off the tree
+            let c = plan.constants[counts.select(needed as i32)];
+            let candidate = WorstTarget {
+                ray,
+                x: b,
+                detection_limit: c + b,
+            };
+            let ratio = candidate.detection_limit / candidate.x;
+            if acc.best.is_none_or(|w| ratio > w.detection_limit / w.x) {
+                acc.best = Some(candidate);
+            }
+        }
+        let Some(at) = next else { break };
+        b = at;
+        while ends.get(next_end).is_some_and(|t| t.at <= b) {
+            next_end += 1;
         }
     }
 }
@@ -406,16 +386,10 @@ impl RayEvaluator {
                 self.hi
             )));
         }
+        let needed = self.f as usize + 1;
         let mut acc = SupAccum::default();
         for ray in 0..self.m {
-            sup_over_flat_pieces(
-                fleet.ray_pieces(ray),
-                self.f,
-                self.lo,
-                self.hi,
-                ray,
-                &mut acc,
-            );
+            sweep_ray(fleet.plan(ray), needed, self.lo, self.hi, ray, &mut acc);
         }
         Ok(acc.into_report())
     }
@@ -455,8 +429,9 @@ impl RayEvaluator {
         if times.len() < needed {
             return Ok(None);
         }
-        times.sort_by(f64::total_cmp);
-        Ok(Some(times[needed - 1]))
+        Ok(Some(
+            *times.select_nth_unstable_by(needed - 1, f64::total_cmp).1,
+        ))
     }
 }
 
@@ -466,8 +441,8 @@ mod tests {
     use crate::compiled::{CompileMemo, FleetBuilder};
     use raysearch_sim::{LineItinerary, RobotId, TourItinerary};
     use raysearch_strategies::{
-        CyclicExponential, DoublingCowPath, LineStrategy, RayStrategy, ReplicatedDoubling,
-        ZonePartition,
+        CyclicExponential, DoublingCowPath, LineStrategy, RandomGeometric, RayStrategy,
+        ReplicatedDoubling, ZonePartition,
     };
 
     /// A line fleet as two-ray tours, ray 0 the positive side.
@@ -867,6 +842,251 @@ mod tests {
             evaluate_optimal(2, 1, 0, 1e4),
             Err(CoreError::HorizonOverflow { .. })
         ));
+    }
+
+    /// The brute-force reference evaluator: it collects each ray's
+    /// boundaries from the pieces, and at every probe scans each robot's
+    /// pieces for the one covering it, sorts those constants and takes
+    /// the `(f+1)`-st. It shares nothing with the plan sweep but the
+    /// probe arithmetic and the report's tie rule.
+    fn brute_force(fleet: &CompiledFleet, f: u32, lo: f64, hi: f64) -> EvalReport {
+        let needed = f as usize + 1;
+        let (mut worst, mut uncovered) = (None::<WorstTarget>, None);
+        let mut num_breakpoints = 0;
+        for ray in 0..fleet.num_rays() {
+            let robots = || (0..fleet.num_robots()).map(|robot| fleet.pieces(robot, ray));
+            let mut bs: Vec<f64> = robots()
+                .flatten()
+                .flat_map(|p| [p.lo, p.hi])
+                .filter(|&b| b > lo && b < hi)
+                .chain([lo])
+                .collect();
+            bs.sort_by(f64::total_cmp);
+            bs.dedup();
+            for (i, &b) in bs.iter().enumerate() {
+                num_breakpoints += 1;
+                let probe = 0.5 * (b + bs.get(i + 1).copied().unwrap_or(hi));
+                let mut covering: Vec<f64> = robots()
+                    .filter_map(|pieces| pieces.iter().find(|p| p.lo < probe && probe <= p.hi))
+                    .map(|p| p.c)
+                    .collect();
+                if covering.len() < needed {
+                    uncovered.get_or_insert(WorstTarget {
+                        ray,
+                        x: probe,
+                        detection_limit: f64::INFINITY,
+                    });
+                    continue;
+                }
+                covering.sort_by(f64::total_cmp);
+                let w = WorstTarget {
+                    ray,
+                    x: b,
+                    detection_limit: covering[needed - 1] + b,
+                };
+                if worst.is_none_or(|v| w.detection_limit / w.x > v.detection_limit / v.x) {
+                    worst = Some(w);
+                }
+            }
+        }
+        EvalReport {
+            ratio: match (uncovered, worst) {
+                (None, Some(w)) => w.detection_limit / w.x,
+                _ => f64::INFINITY,
+            },
+            worst,
+            uncovered,
+            num_breakpoints,
+        }
+    }
+
+    /// One robot per ray count whose last excursion is so long that its
+    /// piece straddles past linear `f64`: `hi = ∞`, and it never leaves.
+    fn straddling_fleet(m: usize, cap: f64) -> CompiledFleet {
+        use raysearch_bounds::LogScaled;
+        use raysearch_sim::{LogExcursion, LogTourItinerary, RayId};
+        let mut builder = FleetBuilder::new(m, cap).unwrap();
+        for robot in 0..m {
+            let mut excursions: Vec<LogExcursion> = (0..m)
+                .map(|ray| {
+                    let turn = 3.0 + (robot * m + ray) as f64;
+                    LogExcursion::new(RayId::new(ray, m).unwrap(), LogScaled::from_f64(turn))
+                })
+                .collect::<Result<_, _>>()
+                .unwrap();
+            // every ray but the robot's own is walked past the cap, then
+            // its own ray gets the straddling leg
+            for ray in (0..m).filter(|&ray| ray != robot) {
+                let far = LogScaled::from_f64(2.0 * cap + ray as f64);
+                excursions.push(LogExcursion::new(RayId::new(ray, m).unwrap(), far).unwrap());
+            }
+            let huge = LogScaled::from_ln(800.0 + robot as f64);
+            excursions.push(LogExcursion::new(RayId::new(robot, m).unwrap(), huge).unwrap());
+            builder
+                .push_log_tour(&LogTourItinerary::new(m, excursions).unwrap())
+                .unwrap();
+        }
+        builder.finish()
+    }
+
+    /// The plan sweep matches the brute-force reference bit for bit in
+    /// ratio, worst target, uncovered witness and breakpoint count.
+    #[test]
+    fn evaluate_matches_a_brute_force_scan_bit_for_bit() {
+        let cyclic = |m: u32, k: u32, f: u32, horizon: f64, cap: f64| {
+            let s = CyclicExponential::optimal(m, k, f).unwrap();
+            tour_fleet(m, &s.fleet_tours(horizon).unwrap(), cap)
+        };
+        // plans that end inside the range: one robot's tour stops early
+        // while the rest cover, and a whole fleet generated short
+        let s = CyclicExponential::optimal(2, 5, 2).unwrap();
+        let mut tours = s.fleet_tours(4e4).unwrap();
+        tours[0] = TourItinerary::new(2, tours[0].excursions()[..6].to_vec()).unwrap();
+        let one_short = tour_fleet(2, &tours, 1e4);
+        assert!(one_short.pieces(0, 0).last().unwrap().hi < 1e3);
+        let all_short = cyclic(3, 5, 1, 300.0, 1e4);
+        // duplicate right ends and constants across robots
+        let replicated = line_fleet(
+            &ReplicatedDoubling::new(4)
+                .unwrap()
+                .fleet_itineraries(1e4)
+                .unwrap(),
+            1e4,
+        );
+        let cow = line_fleet(
+            &DoublingCowPath::classic().fleet_itineraries(1e4).unwrap(),
+            1e4,
+        );
+        let line = cyclic(2, 3, 1, 4e4, 1e4);
+        // a range whose ends sit exactly on right ends of the fleet
+        let (on_lo, on_hi) = (line.pieces(0, 0)[2].hi, line.pieces(1, 1)[4].hi);
+        assert!(1.0 < on_lo && on_lo < on_hi);
+        let mut cases: Vec<(String, CompiledFleet, Vec<u32>, f64, f64)> = vec![
+            (
+                "one plan ends early".into(),
+                one_short,
+                vec![0, 2, 3, 4],
+                1.0,
+                1e4,
+            ),
+            (
+                "all plans end early".into(),
+                all_short,
+                vec![0, 1],
+                1.0,
+                1e4,
+            ),
+            (
+                "replicated".into(),
+                replicated.clone(),
+                vec![0, 1, 2, 3],
+                1.0,
+                1e4,
+            ),
+            (
+                "replicated, lo > 1".into(),
+                replicated,
+                vec![0, 3],
+                3.0,
+                5e3,
+            ),
+            (
+                "cow, on boundaries".into(),
+                cow.clone(),
+                vec![0],
+                4.0,
+                1024.0,
+            ),
+            ("cow, lo on a boundary".into(), cow, vec![0], 16.0, 1e3),
+            (
+                "line, on boundaries".into(),
+                line,
+                vec![0, 1, 2],
+                on_lo,
+                on_hi,
+            ),
+            (
+                "m = 3".into(),
+                cyclic(3, 5, 1, 4e4, 1e4),
+                vec![0, 1, 2],
+                1.0,
+                1e4,
+            ),
+            (
+                "m = 4".into(),
+                cyclic(4, 3, 0, 4e4, 1e4),
+                vec![0, 1, 2],
+                2.5,
+                1e4,
+            ),
+            (
+                "m = 4, k = 7".into(),
+                cyclic(4, 7, 1, 4e4, 1e4),
+                vec![1, 6],
+                1.0,
+                1e4,
+            ),
+            (
+                "zone, undersized".into(),
+                {
+                    let z = ZonePartition::new(3, 4, 1).unwrap();
+                    tour_fleet(3, &z.fleet_tours(1e4).unwrap(), 1e4)
+                },
+                vec![0, 1],
+                1.0,
+                1e3,
+            ),
+            (
+                "straddling".into(),
+                straddling_fleet(3, 1e3),
+                vec![0, 1, 2],
+                1.0,
+                1e3,
+            ),
+            (
+                "empty ray".into(),
+                {
+                    let ray0 = raysearch_sim::RayId::new(0, 2).unwrap();
+                    let walk =
+                        [3.0, 4e4].map(|turn| raysearch_sim::Excursion::new(ray0, turn).unwrap());
+                    tour_fleet(2, &[TourItinerary::new(2, walk.to_vec()).unwrap()], 1e4)
+                },
+                vec![0],
+                1.0,
+                1e4,
+            ),
+        ];
+        assert_eq!(cases[11].1.pieces(2, 2).last().unwrap().hi, f64::INFINITY);
+        for (m, seed) in [(2u32, 1u64), (2, 7), (3, 3), (3, 11), (4, 5)] {
+            let s = RandomGeometric::new(m, 5, 1, seed, (1.2, 2.8)).unwrap();
+            let fleet = tour_fleet(m, &s.fleet_tours(3e3).unwrap(), 1e4);
+            cases.push((
+                format!("random m = {m}, seed {seed}"),
+                fleet,
+                vec![0, 1, 4],
+                1.0,
+                1e4,
+            ));
+        }
+        for (label, fleet, fs, lo, hi) in &cases {
+            for &f in fs {
+                let at = format!("{label}, f = {f}, [{lo}, {hi}]");
+                let evaluator = RayEvaluator::new(fleet.num_rays(), f, *lo, *hi).unwrap();
+                let report = evaluator.evaluate(fleet).unwrap();
+                assert_same_report(&at, &report, &brute_force(fleet, f, *lo, *hi));
+            }
+        }
+        // the table reaches what it is for
+        let reports: Vec<EvalReport> = cases
+            .iter()
+            .flat_map(|(_, fleet, fs, lo, hi)| {
+                fs.iter()
+                    .map(|&f| brute_force(fleet, f, *lo, *hi))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert!(reports.iter().any(|r| r.uncovered.is_some()));
+        assert!(reports.iter().any(|r| r.ratio.is_finite()));
     }
 
     #[test]

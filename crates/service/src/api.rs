@@ -108,7 +108,11 @@ pub const DEFAULT_MC_P: f64 = 0.1;
 /// are keyed by fleet geometry (`FleetKey`), so one entry serves every
 /// `/evaluate`, `/verdict` and `/montecarlo` request for the same
 /// instance and horizon; trivial-regime instances that differ only in
-/// `f` share one zone-partition entry.
+/// `f` share one zone-partition entry. An entry costs about 48 bytes
+/// per piece, arena plus sweep plan: 8.8 MB for `k = 4096`, `f = 4095`
+/// at horizon `1e12` (181,710 pieces) and 10.7 MB at the `1e15`
+/// ceiling (222,530 pieces), so 64 entries of the heaviest instance
+/// would hold about 690 MB.
 pub const COMPILE_CACHE_CAPACITY: usize = 64;
 /// Shards of the compiled-fleet memo tier.
 pub const COMPILE_CACHE_SHARDS: usize = 8;
