@@ -30,8 +30,8 @@ impl HttpClient {
     }
 
     /// Connects to `addr` with `timeout` bounding both the TCP connect
-    /// and every subsequent read — the health-check variant, where a
-    /// wedged backend must fail the check, not wedge the checker.
+    /// and every subsequent read — the router's variant, where a wedged
+    /// backend must fail the exchange, not wedge the router.
     ///
     /// # Errors
     ///
@@ -87,10 +87,29 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> std::io::Result<FullResponse> {
-        let body = body.unwrap_or("");
+        self.send(method, path, body.unwrap_or("").as_bytes(), extra_headers)
+            .map_err(std::io::Error::from)
+    }
+
+    /// Sets the read timeout every later exchange on this connection
+    /// runs under.
+    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(Some(timeout))
+    }
+
+    /// Sends one request whose body is `body` byte for byte and reads
+    /// the full response, telling apart a peer that never answered from
+    /// one that failed mid-response.
+    pub(crate) fn send(
+        &mut self,
+        method: &str,
+        target: &str,
+        body: &[u8],
+        extra_headers: &[(&str, &str)],
+    ) -> Result<FullResponse, SendError> {
         // single write: see Response::write_to on Nagle interactions
         let mut wire = format!(
-            "{method} {path} HTTP/1.1\r\nHost: raysearchd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+            "{method} {target} HTTP/1.1\r\nHost: raysearchd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
             body.len()
         );
         for (name, value) in extra_headers {
@@ -100,18 +119,28 @@ impl HttpClient {
             wire.push_str("\r\n");
         }
         wire.push_str("\r\n");
-        wire.push_str(body);
-        self.writer.write_all(wire.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
+        let mut wire = wire.into_bytes();
+        wire.extend_from_slice(body);
+        self.writer
+            .write_all(&wire)
+            .and_then(|()| self.writer.flush())
+            .map_err(SendError::before_response)?;
+        match self.reader.fill_buf() {
+            Ok([]) => {
+                return Err(SendError::Unanswered(bad(
+                    "connection closed before status line".to_owned(),
+                )))
+            }
+            Ok(_) => {}
+            Err(e) => return Err(SendError::before_response(e)),
+        }
+        self.read_response().map_err(SendError::Failed)
     }
 
     fn read_response(&mut self) -> std::io::Result<FullResponse> {
-        let bad = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
+        // `send` saw the first byte, so the status line is not empty
         let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
-            return Err(bad("connection closed before status line".to_owned()));
-        }
+        self.reader.read_line(&mut status_line)?;
         let status: u16 = status_line
             .split(' ')
             .nth(1)
@@ -145,6 +174,42 @@ impl HttpClient {
         String::from_utf8(body)
             .map(|text| (status, headers, text))
             .map_err(|_| bad("response body is not UTF-8".to_owned()))
+    }
+}
+
+fn bad(why: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, why)
+}
+
+/// Why [`HttpClient::send`] got no response.
+#[derive(Debug)]
+pub(crate) enum SendError {
+    /// The peer closed or reset the connection before any byte of a
+    /// response arrived.
+    Unanswered(std::io::Error),
+    /// Any other failure, including a read timeout.
+    Failed(std::io::Error),
+}
+
+impl SendError {
+    /// Classifies an error struck before the first response byte: a
+    /// reset, an abort or a broken pipe means the peer never answered.
+    fn before_response(e: std::io::Error) -> SendError {
+        use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+        match e.kind() {
+            BrokenPipe | ConnectionAborted | ConnectionReset | UnexpectedEof => {
+                SendError::Unanswered(e)
+            }
+            _ => SendError::Failed(e),
+        }
+    }
+}
+
+impl From<SendError> for std::io::Error {
+    fn from(e: SendError) -> std::io::Error {
+        match e {
+            SendError::Unanswered(e) | SendError::Failed(e) => e,
+        }
     }
 }
 

@@ -748,10 +748,9 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
     ));
 
     // 21. a backend's 503 passes through: the router reports the shed
-    // verbatim — including the Retry-After back-off hint, which the
-    // router must re-attach since forwarding keeps only the body —
-    // counts it, and does not fail over (overload is an answer, not a
-    // transport error)
+    // verbatim — including the Retry-After back-off hint among the
+    // relayed headers — counts it, and does not fail over (overload is
+    // an answer, not a transport error)
     let target = owned_target("shed-stub")?;
     let (_, before) = fetch_json(addr, "GET", "/stats", None)?;
     let failovers_before = state.failover_total();

@@ -25,13 +25,30 @@
 //! rendezvous ranking — each hop counted in `failover_total` — until a
 //! backend answers or every backend has been tried (then `502`). A
 //! backend's *HTTP* answer is never second-guessed: a `503` from an
-//! overloaded backend passes through to the client (counted as
-//! `shed_passthrough`), because retrying overload elsewhere just
-//! spreads it. A background health thread probes `/healthz` and
-//! re-reads port files, so a backend respawned on a new ephemeral port
-//! is rediscovered without reconfiguration; unhealthy backends are
-//! deprioritized but still tried as a last resort (they may have just
-//! come back).
+//! overloaded backend passes through to the client, `Retry-After` and
+//! all (counted as `shed_passthrough`), because retrying overload
+//! elsewhere just spreads it. A background health thread probes
+//! `/healthz` and re-reads port files, so a backend respawned on a new
+//! ephemeral port is rediscovered without reconfiguration; unhealthy
+//! backends are deprioritized but still tried as a last resort (they
+//! may have just come back).
+//!
+//! # Connection reuse
+//!
+//! Each backend keeps at most one idle keep-alive connection, tagged
+//! with the address it was opened to; forwards, health probes and
+//! trace fetches all take it or connect fresh. It goes back to the
+//! idle slot only when the response did not say `Connection: close`,
+//! the address is unchanged, and no other exchange with that backend
+//! is in flight — so the router never parks a connection on a backend
+//! worker that one of its own requests is queued behind. A reused
+//! connection that fails before any response byte (EOF, reset, broken
+//! pipe) is retried once on a fresh connection to the same backend
+//! (`stale_retries`): a live backend closes a connection unanswered
+//! only after it sat idle past the backend's read timeout, so the
+//! request was never read and the retry computes nothing twice. Every
+//! other error, and any error on a fresh connection, is a transport
+//! failure as above; a crashed backend refuses the fresh connect.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +61,7 @@ use raysearch_core::{stable_hash64_parts, SpanData, TraceRecorder};
 use serde_json::{Map, Value};
 
 use crate::api::routing_key;
-use crate::client::HttpClient;
+use crate::client::{FullResponse, HttpClient, SendError};
 use crate::http::{Request, Response};
 use crate::jobs::{job_node, parse_job_id};
 use crate::server::Handler;
@@ -176,10 +193,27 @@ struct Backend {
     routed: AtomicU64,
     /// Transport failures observed talking to this backend.
     failed: AtomicU64,
+    /// Connections opened to this backend, for any exchange.
+    connects: AtomicU64,
+    /// Reused connections that failed before any response byte and
+    /// were retried on a fresh one.
+    stale_retries: AtomicU64,
+    /// The idle keep-alive connection and the exchanges in flight.
+    pool: Mutex<Pool>,
     /// The backend's own counters as of the last successful health
     /// pass. Kept (stale) when the backend stops answering, so
     /// `/stats` can still show the last known numbers with their age.
     stats_cache: Mutex<Option<BackendCounters>>,
+}
+
+/// A backend's connection pool: the idle keep-alive connection, tagged
+/// with the address it was opened to, and the exchanges in flight —
+/// under one mutex, so the slot is filled only while nothing is in
+/// flight (see "Connection reuse" in the module docs).
+#[derive(Debug, Default)]
+struct Pool {
+    idle: Option<(String, HttpClient)>,
+    in_flight: usize,
 }
 
 impl Backend {
@@ -189,6 +223,111 @@ impl Backend {
 
     fn cached_counters(&self) -> Option<BackendCounters> {
         self.stats_cache.lock().clone()
+    }
+
+    /// Forwards `req` to this backend at `addr`: the body byte for
+    /// byte, plus the trace id so the backend's telemetry joins the
+    /// same trace.
+    fn forward(
+        &self,
+        addr: &str,
+        req: &Request,
+        target: &str,
+        trace: &str,
+    ) -> std::io::Result<FullResponse> {
+        self.exchange(
+            addr,
+            FORWARD_TIMEOUT,
+            &req.method,
+            target,
+            &req.body,
+            &[(TRACE_HEADER, trace)],
+        )
+    }
+
+    /// Fetches and parses this backend's stored trace. `None` on any
+    /// failure — no address, transport, non-200 (the backend did not
+    /// sample this trace), or malformed JSON.
+    fn fetch_trace(&self, trace: &str) -> Option<(String, SpanData)> {
+        let addr = self.current_addr()?;
+        let (status, _, body) = self
+            .exchange(
+                &addr,
+                HEALTH_TIMEOUT,
+                "GET",
+                &format!("/debug/trace/{trace}"),
+                b"",
+                &[],
+            )
+            .ok()?;
+        if status != 200 {
+            return None;
+        }
+        let doc: Value = serde_json::from_str(&body).ok()?;
+        let service = doc
+            .get("service")
+            .and_then(Value::as_str)
+            .unwrap_or("raysearchd")
+            .to_owned();
+        let root = SpanData::from_json(doc.get("root")?).ok()?;
+        Some((service, root))
+    }
+
+    /// One request/response exchange with this backend at `addr`, the
+    /// only way the router talks to a backend: forwards, health probes
+    /// and trace fetches all come through here. Takes the idle
+    /// connection if it was opened to `addr` or connects fresh, reads
+    /// under `timeout`, retries a stale reused connection once on a
+    /// fresh one, and pools the connection afterwards only under the
+    /// rules in "Connection reuse" in the module docs.
+    fn exchange(
+        &self,
+        addr: &str,
+        timeout: Duration,
+        method: &str,
+        target: &str,
+        body: &[u8],
+        headers: &[(&str, &str)],
+    ) -> std::io::Result<FullResponse> {
+        let idle = {
+            let mut pool = self.pool.lock();
+            pool.in_flight += 1;
+            pool.idle.take().filter(|(tag, _)| tag == addr)
+        };
+        let fresh = || {
+            let mut client = HttpClient::connect_with_timeout(addr, timeout)?;
+            self.connects.fetch_add(1, Ordering::Relaxed);
+            let response = client.send(method, target, body, headers)?;
+            Ok((client, response))
+        };
+        let outcome = match idle {
+            Some((_, mut client)) => match client
+                .set_read_timeout(timeout)
+                .map_err(SendError::Unanswered)
+                .and_then(|()| client.send(method, target, body, headers))
+            {
+                Ok(response) => Ok((client, response)),
+                Err(SendError::Failed(e)) => Err(e),
+                Err(SendError::Unanswered(_)) => {
+                    self.stale_retries.fetch_add(1, Ordering::Relaxed);
+                    fresh()
+                }
+            },
+            None => fresh(),
+        };
+        let keep = outcome.as_ref().is_ok_and(|(_, (_, headers, _))| {
+            !headers
+                .iter()
+                .any(|(name, value)| name == "connection" && value.eq_ignore_ascii_case("close"))
+        }) && self.current_addr().as_deref() == Some(addr);
+        let mut pool = self.pool.lock();
+        pool.in_flight -= 1;
+        outcome.map(|(client, response)| {
+            if keep && pool.in_flight == 0 {
+                pool.idle = Some((addr.to_owned(), client));
+            }
+            response
+        })
     }
 }
 
@@ -244,6 +383,9 @@ impl RouterState {
                     healthy: AtomicBool::new(false),
                     routed: AtomicU64::new(0),
                     failed: AtomicU64::new(0),
+                    connects: AtomicU64::new(0),
+                    stale_retries: AtomicU64::new(0),
+                    pool: Mutex::default(),
                     stats_cache: Mutex::new(None),
                 })
                 .collect(),
@@ -292,11 +434,13 @@ impl RouterState {
     /// Runs one synchronous health pass: refresh each backend's address
     /// from its source (re-reading port files, so respawned backends on
     /// new ports are picked up), probe its `/healthz` with
-    /// [`HEALTH_TIMEOUT`], and — on the same keep-alive connection —
-    /// fetch its `/stats` into the cached counter snapshot that the
-    /// router's own `/stats` and `/metrics` serve from (so client-facing
-    /// endpoints never poll backends synchronously). Returns the number
-    /// of healthy backends.
+    /// [`HEALTH_TIMEOUT`], and fetch its `/stats` into the cached
+    /// counter snapshot that the router's own `/stats` and `/metrics`
+    /// serve from (so client-facing endpoints never poll backends
+    /// synchronously). Probes go through the backend's connection pool
+    /// like forwards do: a one-worker backend serving the router's idle
+    /// connection could not accept a second one. Returns the number of
+    /// healthy backends.
     pub fn check_backends_now(&self) -> usize {
         for backend in &self.backends {
             if let AddrSource::PortFile(path) = &backend.source {
@@ -307,16 +451,18 @@ impl RouterState {
                 *backend.addr.lock() = read;
             }
             let probed = backend.current_addr().and_then(|addr| {
-                let mut client = HttpClient::connect_with_timeout(&addr, HEALTH_TIMEOUT).ok()?;
-                let (status, _) = client.request("GET", "/healthz", None).ok()?;
+                let get = |path: &str| {
+                    backend
+                        .exchange(&addr, HEALTH_TIMEOUT, "GET", path, b"", &[])
+                        .ok()
+                };
+                let (status, _, _) = get("/healthz")?;
                 if status != 200 {
                     return Some((false, None));
                 }
-                let counters = client
-                    .request("GET", "/stats", None)
-                    .ok()
-                    .filter(|(status, _)| *status == 200)
-                    .and_then(|(_, text)| serde_json::from_str(&text).ok())
+                let counters = get("/stats")
+                    .filter(|(status, _, _)| *status == 200)
+                    .and_then(|(_, _, text)| serde_json::from_str(&text).ok())
                     .map(|doc: Value| BackendCounters::from_stats(&doc, Instant::now()));
                 Some((true, counters))
             });
@@ -413,11 +559,16 @@ impl RouterState {
                 serde_json::to_value(backend.routed.load(Ordering::Relaxed))
                     .expect("u64 serializes"),
             );
-            bd.insert(
-                "failed".to_owned(),
-                serde_json::to_value(backend.failed.load(Ordering::Relaxed))
-                    .expect("u64 serializes"),
-            );
+            for (name, counter) in [
+                ("failed", &backend.failed),
+                ("connects", &backend.connects),
+                ("stale_retries", &backend.stale_retries),
+            ] {
+                bd.insert(
+                    name.to_owned(),
+                    serde_json::to_value(counter.load(Ordering::Relaxed)).expect("u64 serializes"),
+                );
+            }
             let cached = backend.cached_counters();
             let reachable = cached.is_some();
             if let Some(counters) = &cached {
@@ -584,6 +735,20 @@ impl RouterState {
         );
         push_metric(
             &mut out,
+            "raysearch_router_backend_connects_total",
+            "counter",
+            "Connections the router opened per backend (retries included).",
+            &family(&|b| Some(b.connects.load(Ordering::Relaxed))),
+        );
+        push_metric(
+            &mut out,
+            "raysearch_router_backend_stale_retries_total",
+            "counter",
+            "Reused connections per backend that failed before any response byte and were retried fresh.",
+            &family(&|b| Some(b.stale_retries.load(Ordering::Relaxed))),
+        );
+        push_metric(
+            &mut out,
             "raysearch_router_backend_cache_hits_total",
             "counter",
             "Result-cache hits per backend (health-thread snapshot).",
@@ -653,24 +818,6 @@ impl RouterState {
         metrics_response(out)
     }
 
-    /// Issues `req` against the backend at `addr` over a fresh
-    /// connection, forwarding the trace id so the backend's telemetry
-    /// joins the same trace. A fresh connection per forward keeps the
-    /// failure semantics crisp: any transport error means *this
-    /// backend, now* — never a stale pooled socket from before a crash.
-    fn forward_once(
-        addr: &str,
-        req: &Request,
-        target: &str,
-        trace: &str,
-    ) -> std::io::Result<(u16, String)> {
-        let body = String::from_utf8_lossy(&req.body);
-        let mut client = HttpClient::connect_with_timeout(addr, FORWARD_TIMEOUT)?;
-        client
-            .request_with_headers(&req.method, target, Some(&body), &[(TRACE_HEADER, trace)])
-            .map(|(status, _headers, body)| (status, body))
-    }
-
     /// Routes one request: rendezvous-rank the backends for its
     /// canonical key, try them healthy-first in rank order, fail over
     /// on transport errors, give up with a `502` after every backend
@@ -713,7 +860,7 @@ impl RouterState {
             // so the histogram view keeps PR-8 semantics (total time
             // spent waiting on backends, across failover hops).
             let wait_start = spans.elapsed_micros();
-            let forwarded = RouterState::forward_once(&addr, req, &target, trace);
+            let forwarded = backend.forward(&addr, req, &target, trace);
             let wait_end = spans.elapsed_micros();
             let span_name = if forwarded.is_ok() {
                 "backend_wait"
@@ -728,27 +875,17 @@ impl RouterState {
                 &[("backend", &backend.id)],
             );
             match forwarded {
-                Ok((status, body)) => {
+                Ok(answer) => {
                     backend.routed.fetch_add(1, Ordering::Relaxed);
                     self.routed_total.fetch_add(1, Ordering::Relaxed);
-                    if status == 503 {
-                        // the backend's overload answer stands; retrying
-                        // elsewhere would just spread the overload
+                    let response = relayed(answer);
+                    if response.status == 503 {
+                        // the backend's overload answer stands (with its
+                        // Retry-After hint); retrying elsewhere would
+                        // just spread the overload
                         self.shed_passthrough.fetch_add(1, Ordering::Relaxed);
                     }
-                    let mut response = Response {
-                        status,
-                        body,
-                        headers: Vec::new(),
-                    };
                     self.record(req, &target, &response);
-                    if status == 503 {
-                        // forward_once keeps only the body; restore the
-                        // back-off hint the backend's shed carried
-                        // (attached after record: tape digests are
-                        // body-only)
-                        response = response.with_header("Retry-After", "1");
-                    }
                     return response;
                 }
                 Err(_) => {
@@ -796,7 +933,7 @@ impl RouterState {
             return Response::error(502, &format!("backend {} has no address yet", backend.id));
         };
         let wait_start = spans.elapsed_micros();
-        let forwarded = RouterState::forward_once(&addr, req, &target, trace);
+        let forwarded = backend.forward(&addr, req, &target, trace);
         let wait_end = spans.elapsed_micros();
         spans.add_interval_as(
             Span::BackendWait,
@@ -810,16 +947,17 @@ impl RouterState {
             &[("backend", &backend.id)],
         );
         match forwarded {
-            Ok((status, body)) => {
+            Ok(answer) => {
                 backend.routed.fetch_add(1, Ordering::Relaxed);
                 self.routed_total.fetch_add(1, Ordering::Relaxed);
-                if status == 503 {
+                let response = relayed(answer);
+                if response.status == 503 {
                     self.shed_passthrough.fetch_add(1, Ordering::Relaxed);
                 }
-                if req.method == "GET" && status == 200 {
+                if req.method == "GET" && response.status == 200 {
                     // surface the backend-measured queue wait in the
                     // router's own `queue_wait` histogram column
-                    if let Some(wait) = serde_json::from_str(&body)
+                    if let Some(wait) = serde_json::from_str(&response.body)
                         .ok()
                         .as_ref()
                         .and_then(|doc| doc.get("queue_wait_micros"))
@@ -828,21 +966,12 @@ impl RouterState {
                         spans.add(Span::QueueWait, wait);
                     }
                 }
-                let response = Response {
-                    status,
-                    body,
-                    headers: Vec::new(),
-                };
-                if status == 503 {
-                    response.with_header("Retry-After", "1")
-                } else {
-                    response
-                }
+                response
             }
             Err(_) => {
+                // no failover hop: the record lives on this backend only
                 backend.failed.fetch_add(1, Ordering::Relaxed);
                 backend.healthy.store(false, Ordering::Relaxed);
-                self.failover_total.fetch_add(1, Ordering::Relaxed);
                 self.no_backend_total.fetch_add(1, Ordering::Relaxed);
                 Response::error(502, &format!("backend {} did not answer", backend.id))
             }
@@ -885,39 +1014,15 @@ impl RouterState {
             else {
                 continue;
             };
-            let addr = self
-                .backends
-                .iter()
-                .find(|b| b.id == backend_id)
-                .and_then(Backend::current_addr);
-            let Some(addr) = addr else { continue };
-            if let Some((service, mut sub)) = RouterState::fetch_backend_trace(&addr, trace) {
+            let Some(backend) = self.backends.iter().find(|b| b.id == backend_id) else {
+                continue;
+            };
+            if let Some((service, mut sub)) = backend.fetch_trace(trace) {
                 sub.attrs.push(("service".to_owned(), service));
                 sub.rebase(child.start_micros);
                 child.children.push(sub);
             }
         }
-    }
-
-    /// Fetches and parses one backend's stored trace. `None` on any
-    /// failure — connect, non-200 (the backend did not sample this
-    /// trace), or malformed JSON.
-    fn fetch_backend_trace(addr: &str, trace: &str) -> Option<(String, SpanData)> {
-        let mut client = HttpClient::connect_with_timeout(addr, HEALTH_TIMEOUT).ok()?;
-        let (status, body) = client
-            .request("GET", &format!("/debug/trace/{trace}"), None)
-            .ok()?;
-        if status != 200 {
-            return None;
-        }
-        let doc: Value = serde_json::from_str(&body).ok()?;
-        let service = doc
-            .get("service")
-            .and_then(Value::as_str)
-            .unwrap_or("raysearchd")
-            .to_owned();
-        let root = SpanData::from_json(doc.get("root")?).ok()?;
-        Some((service, root))
     }
 
     fn record(&self, req: &Request, target: &str, response: &Response) {
@@ -962,6 +1067,26 @@ impl Handler for RouterState {
 
     fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A backend's answer as the router relays it: status, body and
+/// headers verbatim, minus `connection` and `content-length` (the
+/// router's own writer sets both) and the backend's trace echo (the
+/// router attaches its own).
+fn relayed((status, headers, body): FullResponse) -> Response {
+    Response {
+        status,
+        body,
+        headers: headers
+            .into_iter()
+            .filter(|(name, _)| {
+                !matches!(
+                    name.as_str(),
+                    "connection" | "content-length" | TRACE_HEADER
+                )
+            })
+            .collect(),
     }
 }
 

@@ -17,12 +17,16 @@
 //! binaries.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] sets a flag,
-//! pokes the listener with a throwaway connection to unblock `accept`,
-//! closes the queue, and joins every thread.
+//! shuts the read half of every open connection (a worker parked on an
+//! idle keep-alive connection wakes with EOF instead of waiting out
+//! `read_timeout`; one mid-request still writes its response), pokes
+//! the listener with a throwaway connection to unblock `accept`, closes
+//! the queue, and joins every thread.
 
+use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -196,23 +200,27 @@ impl<H: Handler> Server<H> {
     pub fn spawn(self) -> ServerHandle<H> {
         let addr = self.local_addr().expect("bound listener has an address");
         let stop = Arc::new(AtomicBool::new(false));
-        let (sender, receiver) = std::sync::mpsc::sync_channel::<TcpStream>(self.cfg.queue_depth);
+        let open = Arc::new(OpenConnections::default());
+        let (sender, receiver) =
+            std::sync::mpsc::sync_channel::<(u64, TcpStream)>(self.cfg.queue_depth);
         let receiver = Arc::new(Mutex::new(receiver));
 
         let mut threads: Vec<JoinHandle<()>> = Vec::with_capacity(self.cfg.workers + 1);
         for _ in 0..self.cfg.workers.max(1) {
             let receiver = Arc::clone(&receiver);
             let state = Arc::clone(&self.state);
+            let open = Arc::clone(&open);
             let timeout = self.cfg.read_timeout;
             threads.push(std::thread::spawn(move || {
-                worker_loop(&receiver, &*state, timeout)
+                worker_loop(&receiver, &*state, &open, timeout)
             }));
         }
 
         let acceptor = {
             let stop = Arc::clone(&stop);
             let state = Arc::clone(&self.state);
-            std::thread::spawn(move || accept_loop(&self.listener, &sender, &stop, &*state))
+            let open = Arc::clone(&open);
+            std::thread::spawn(move || accept_loop(&self.listener, &sender, &stop, &open, &*state))
         };
         threads.push(acceptor);
 
@@ -224,6 +232,7 @@ impl<H: Handler> Server<H> {
             addr,
             state: self.state,
             stop,
+            open,
             threads,
         }
     }
@@ -235,6 +244,7 @@ pub struct ServerHandle<H: Handler = ServiceState> {
     addr: std::net::SocketAddr,
     state: Arc<H>,
     stop: Arc<AtomicBool>,
+    open: Arc<OpenConnections>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -250,10 +260,13 @@ impl<H: Handler> ServerHandle<H> {
     }
 
     /// Stops accepting, drains the workers, winds down background
-    /// workers (closing the job queue), and joins every thread.
+    /// workers (closing the job queue), and joins every thread. Idle
+    /// keep-alive connections do not hold it up: their read halves are
+    /// shut, so their workers see EOF at once.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.state.stop_background();
+        self.open.shut_reads();
         // poke accept() awake; it will observe the flag and return
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
@@ -271,10 +284,41 @@ impl<H: Handler> ServerHandle<H> {
     }
 }
 
+/// Clones of the connections the server has accepted and not yet
+/// finished, so shutdown can wake the workers blocked reading them.
+#[derive(Debug, Default)]
+struct OpenConnections {
+    next_id: AtomicU64,
+    streams: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl OpenConnections {
+    /// Registers a clone of `stream`; `None` if it cannot be cloned.
+    fn register(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.streams.lock().insert(id, clone);
+        Some(id)
+    }
+
+    /// Drops the clone of a finished connection — until then it keeps
+    /// the socket open, and the peer would see neither EOF nor a reply.
+    fn remove(&self, id: u64) {
+        self.streams.lock().remove(&id);
+    }
+
+    fn shut_reads(&self) {
+        for stream in self.streams.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
-    sender: &SyncSender<TcpStream>,
+    sender: &SyncSender<(u64, TcpStream)>,
     stop: &AtomicBool,
+    open: &OpenConnections,
     state: &dyn Handler,
 ) {
     loop {
@@ -289,11 +333,21 @@ fn accept_loop(
             std::thread::sleep(Duration::from_millis(10));
             continue;
         };
-        match sender.try_send(stream) {
+        let Some(id) = open.register(&stream) else {
+            continue;
+        };
+        if stop.load(Ordering::SeqCst) {
+            // shutdown may have shut the open reads before this one
+            // was registered
+            open.remove(id);
+            return;
+        }
+        match sender.try_send((id, stream)) {
             Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
+            Err(TrySendError::Full((id, mut stream))) => {
                 // shed load rather than queueing without bound; the
                 // Retry-After hint tells clients to back off briefly
+                open.remove(id);
                 state.note_shed();
                 let _ = Response::shed("server overloaded, try again").write_to(&mut stream, false);
             }
@@ -302,12 +356,20 @@ fn accept_loop(
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<TcpStream>>, state: &dyn Handler, timeout: Duration) {
+fn worker_loop(
+    receiver: &Mutex<Receiver<(u64, TcpStream)>>,
+    state: &dyn Handler,
+    open: &OpenConnections,
+    timeout: Duration,
+) {
     loop {
         // hold the lock only for the dequeue, not while serving
         let next = receiver.lock().recv();
         match next {
-            Ok(stream) => handle_connection(stream, state, timeout),
+            Ok((id, stream)) => {
+                handle_connection(stream, state, timeout);
+                open.remove(id);
+            }
             Err(_) => return, // queue closed: shutdown
         }
     }
@@ -361,5 +423,51 @@ fn handle_connection(stream: TcpStream, state: &dyn Handler, timeout: Duration) 
             }
         }
         let _ = writer.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+    use crate::client::HttpClient;
+
+    /// Answers every request with an empty JSON object.
+    struct Empty;
+
+    impl Handler for Empty {
+        fn handle(&self, _req: &Request) -> Response {
+            Response::ok("{}")
+        }
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_an_idle_keep_alive_connection() {
+        let cfg = ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with(cfg, Arc::new(Empty))
+            .expect("bind")
+            .spawn();
+        let mut client = HttpClient::connect(&server.addr().to_string()).expect("connect");
+        let (status, _) = client.request("GET", "/", None).expect("request");
+        assert_eq!(status, 200);
+
+        // the client keeps its connection open, so the one worker is
+        // parked reading it
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "shutdown took {took:?} with an idle keep-alive connection open"
+        );
+        assert!(
+            client.request("GET", "/", None).is_err(),
+            "the idle connection is closed, not left open"
+        );
     }
 }

@@ -167,6 +167,14 @@ fn trace_header_round_trips_router_to_backend_to_response() {
         response.contains(&format!("{TRACE_HEADER}: 00000000deadbeef\r\n")),
         "router must echo the client's trace id: {response}"
     );
+    assert_eq!(
+        response
+            .to_ascii_lowercase()
+            .matches(&format!("{TRACE_HEADER}:"))
+            .count(),
+        1,
+        "the backend's own echo must not be relayed next to the router's: {response}"
+    );
 
     // …and was forwarded to the backend (its slow log captured it)
     let slow = raw_request(
