@@ -48,8 +48,8 @@ use crate::jobs::{
 };
 use crate::server::Handler;
 use crate::telemetry::{
-    metrics_response, push_counter, push_gauge, trace_index_json, trace_json, Span, SpanSet,
-    Telemetry, TRACE_HEADER,
+    counter, gauge, metrics_response, trace_index_json, trace_json, write_families, write_stats,
+    Metric, Span, SpanSet, Telemetry, TRACE_HEADER,
 };
 
 /// Default evaluation horizon when a request omits `horizon`.
@@ -386,6 +386,123 @@ impl ApiError {
     }
 }
 
+/// The backend's metric registry: every counter and gauge `raysearchd`
+/// exports, in `/stats` order. Its `/stats` and `/metrics` (prefix
+/// `raysearchd`) both render from this table, and the router re-exports
+/// it per backend (prefix `raysearch_router_backend`).
+pub static SERVICE_METRICS: [Metric<ServiceState>; 24] = [
+    counter(
+        "requests_total",
+        "Requests dispatched by this backend.",
+        |s| Some(s.requests_total()),
+    ),
+    counter(
+        "shed_total",
+        "Connections shed with a 503 by the acceptor.",
+        |s| Some(s.shed_total()),
+    ),
+    gauge(
+        "uptime_micros",
+        "Microseconds since this backend started.",
+        |s| Some(s.started.elapsed().as_micros() as u64),
+    ),
+    gauge(
+        "uptime_seconds",
+        "Seconds since this backend started.",
+        |s| Some(s.started.elapsed().as_secs()),
+    ),
+    counter(
+        "cache.hits",
+        "Result-cache lookups answered from the cache.",
+        |s| Some(s.cache_stats().hits),
+    ),
+    counter(
+        "cache.misses",
+        "Result-cache lookups that had to compute.",
+        |s| Some(s.cache_stats().misses),
+    ),
+    counter(
+        "cache.evictions",
+        "Result-cache entries displaced to make room.",
+        |s| Some(s.cache_stats().evictions),
+    ),
+    gauge(
+        "cache.entries",
+        "Result-cache entries currently resident.",
+        |s| Some(s.cache_stats().entries as u64),
+    ),
+    gauge(
+        "cache.capacity",
+        "Result-cache capacity, summed over shards.",
+        |s| Some(s.cache_stats().capacity as u64),
+    ),
+    gauge("cache.shards", "Result-cache shards.", |s| {
+        Some(s.cache_stats().shards as u64)
+    }),
+    counter(
+        "compile_hits",
+        "Compile-tier lookups answered from the memo.",
+        |s| Some(s.compile_stats().hits),
+    ),
+    counter(
+        "compile_misses",
+        "Compile-tier lookups that had to build a fleet.",
+        |s| Some(s.compile_stats().misses),
+    ),
+    gauge(
+        "compile_entries",
+        "Compiled-fleet artifacts currently resident.",
+        |s| Some(s.compile_stats().entries as u64),
+    ),
+    gauge("jobs.queued", "Jobs currently waiting in the queue.", |s| {
+        Some(s.jobs.snapshot().queued)
+    }),
+    gauge(
+        "jobs.running",
+        "Jobs currently executing on a compute worker.",
+        |s| Some(s.jobs.snapshot().running),
+    ),
+    gauge(
+        "jobs.stored",
+        "Job records currently resident in the store.",
+        |s| Some(s.jobs.snapshot().stored),
+    ),
+    counter("jobs.submitted", "Jobs admitted by POST /jobs.", |s| {
+        Some(s.jobs.snapshot().submitted)
+    }),
+    counter("jobs.completed", "Jobs that reached the done state.", |s| {
+        Some(s.jobs.snapshot().completed)
+    }),
+    counter("jobs.failed", "Jobs that reached the failed state.", |s| {
+        Some(s.jobs.snapshot().failed)
+    }),
+    counter(
+        "jobs.cancelled",
+        "Queued jobs cancelled before execution.",
+        |s| Some(s.jobs.snapshot().cancelled),
+    ),
+    counter(
+        "jobs.rejected",
+        "Job submissions shed by admission control.",
+        |s| Some(s.jobs.snapshot().rejected),
+    ),
+    counter(
+        "jobs.evicted",
+        "Terminal job records evicted from the bounded store.",
+        |s| Some(s.jobs.snapshot().evicted),
+    ),
+    gauge(
+        "traces_stored",
+        "Completed span traces resident in the trace ring.",
+        |s| Some(s.telemetry.recorder().stored()),
+    ),
+    counter(
+        "traces_dropped_total",
+        "Span traces evicted from the bounded trace ring.",
+        |s| Some(s.telemetry.recorder().dropped_total()),
+    ),
+];
+
 /// Shared state of one server instance: the result memo cache, the
 /// compiled-fleet memo tier beneath it, and counters.
 ///
@@ -578,7 +695,7 @@ impl ServiceState {
         let mut spans = SpanSet::start();
         let result = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => Ok(self.healthz()),
-            ("GET", "/stats") => Ok(self.stats_response()),
+            ("GET", "/stats") => Ok(Response::ok(self.stats_doc().to_json_string())),
             ("GET", "/metrics") => Ok(self.metrics()),
             ("GET", "/debug/slow") => Ok(Response::ok(self.telemetry.slow_log_json())),
             ("GET", "/debug/trace") => {
@@ -646,201 +763,24 @@ impl ServiceState {
         Response::ok(Value::Object(doc).to_json_string())
     }
 
-    fn stats_response(&self) -> Response {
-        let cache = self.cache.stats();
-        let compile = self.compile.stats();
+    /// This backend's `/stats` document: every [`SERVICE_METRICS`] row.
+    fn stats_doc(&self) -> Value {
         let mut doc = Map::new();
-        doc.insert(
-            "requests_total".to_owned(),
-            serde_json::to_value(self.requests_total()).expect("u64 serializes"),
-        );
-        doc.insert(
-            "shed_total".to_owned(),
-            serde_json::to_value(self.shed_total()).expect("u64 serializes"),
-        );
-        doc.insert(
-            "uptime_micros".to_owned(),
-            serde_json::to_value(self.started.elapsed().as_micros() as u64)
-                .expect("u64 serializes"),
-        );
-        doc.insert(
-            "cache".to_owned(),
-            serde_json::to_value(cache).expect("stats serialize"),
-        );
-        doc.insert(
-            "compile_hits".to_owned(),
-            serde_json::to_value(compile.hits).expect("u64 serializes"),
-        );
-        doc.insert(
-            "compile_misses".to_owned(),
-            serde_json::to_value(compile.misses).expect("u64 serializes"),
-        );
-        doc.insert(
-            "compile_entries".to_owned(),
-            serde_json::to_value(compile.entries as u64).expect("u64 serializes"),
-        );
-        let jobs = self.jobs.snapshot();
-        let mut jobs_doc = Map::new();
-        for (name, value) in [
-            ("queued", jobs.queued),
-            ("running", jobs.running),
-            ("stored", jobs.stored),
-            ("submitted", jobs.submitted),
-            ("completed", jobs.completed),
-            ("failed", jobs.failed),
-            ("cancelled", jobs.cancelled),
-            ("rejected", jobs.rejected),
-            ("evicted", jobs.evicted),
-        ] {
-            jobs_doc.insert(
-                name.to_owned(),
-                serde_json::to_value(value).expect("u64 serializes"),
-            );
-        }
-        doc.insert("jobs".to_owned(), Value::Object(jobs_doc));
-        Response::ok(Value::Object(doc).to_json_string())
+        write_stats(&mut doc, &SERVICE_METRICS, self);
+        Value::Object(doc)
     }
 
-    /// The service's `GET /metrics`: Prometheus text exposition of the
-    /// request/shed counters, both cache tiers, and the per-endpoint
-    /// span latency histograms.
+    /// The service's `GET /metrics`: every [`SERVICE_METRICS`] row as a
+    /// `raysearchd_` family, then the per-endpoint span latency
+    /// histograms.
     fn metrics(&self) -> Response {
-        let cache = self.cache.stats();
-        let compile = self.compile.stats();
         let mut out = String::new();
-        push_counter(
+        let doc = self.stats_doc();
+        write_families(
             &mut out,
-            "raysearchd_requests_total",
-            "Requests dispatched by this backend.",
-            self.requests_total(),
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_shed_total",
-            "Connections shed with a 503 by the acceptor.",
-            self.shed_total(),
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_cache_hits_total",
-            "Result-cache lookups answered from the cache.",
-            cache.hits,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_cache_misses_total",
-            "Result-cache lookups that had to compute.",
-            cache.misses,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_cache_evictions_total",
-            "Result-cache entries displaced to make room.",
-            cache.evictions,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_cache_entries",
-            "Result-cache entries currently resident.",
-            cache.entries as u64,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_compile_hits_total",
-            "Compile-tier lookups answered from the memo.",
-            compile.hits,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_compile_misses_total",
-            "Compile-tier lookups that had to build a fleet.",
-            compile.misses,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_compile_entries",
-            "Compiled-fleet artifacts currently resident.",
-            compile.entries as u64,
-        );
-        let jobs = self.jobs.snapshot();
-        push_counter(
-            &mut out,
-            "raysearchd_jobs_submitted_total",
-            "Jobs admitted by POST /jobs.",
-            jobs.submitted,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_jobs_completed_total",
-            "Jobs that reached the done state.",
-            jobs.completed,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_jobs_failed_total",
-            "Jobs that reached the failed state.",
-            jobs.failed,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_jobs_cancelled_total",
-            "Queued jobs cancelled before execution.",
-            jobs.cancelled,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_jobs_rejected_total",
-            "Job submissions shed by admission control.",
-            jobs.rejected,
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_jobs_evicted_total",
-            "Terminal job records evicted from the bounded store.",
-            jobs.evicted,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_jobs_queued",
-            "Jobs currently waiting in the queue.",
-            jobs.queued,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_jobs_running",
-            "Jobs currently executing on a compute worker.",
-            jobs.running,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_jobs_stored",
-            "Job records currently resident in the store.",
-            jobs.stored,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_uptime_micros",
-            "Microseconds since this backend started.",
-            self.started.elapsed().as_micros() as u64,
-        );
-        push_gauge(
-            &mut out,
-            "raysearchd_uptime_seconds",
-            "Seconds since this backend started.",
-            self.started.elapsed().as_secs(),
-        );
-        let recorder = self.telemetry.recorder();
-        push_gauge(
-            &mut out,
-            "raysearchd_traces_stored",
-            "Completed span traces resident in the trace ring.",
-            recorder.stored(),
-        );
-        push_counter(
-            &mut out,
-            "raysearchd_traces_dropped_total",
-            "Span traces evicted from the bounded trace ring.",
-            recorder.dropped_total(),
+            "raysearchd",
+            &SERVICE_METRICS,
+            &[(String::new(), &doc)],
         );
         self.telemetry
             .render_prometheus_histograms(&mut out, "raysearchd");

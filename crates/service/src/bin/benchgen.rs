@@ -30,6 +30,7 @@ use raysearch_core::campaign::CampaignRun;
 use raysearch_core::CompileMemo;
 use raysearch_service::client::HttpClient;
 use raysearch_service::load::{run_load, LoadConfig, LoadReport};
+use raysearch_service::telemetry::stat;
 use raysearch_service::{Server, ServerConfig};
 
 /// The PR 5 measurement this artifact is pinned against: the full E12
@@ -382,12 +383,7 @@ fn compile_counters(addr: &str) -> Result<(u64, u64, u64), String> {
     }
     let value: serde_json::Value =
         serde_json::from_str(&body).map_err(|e| format!("parse /stats: {e}"))?;
-    let counter = |key: &str| {
-        value
-            .get(key)
-            .and_then(serde_json::Value::as_u64)
-            .ok_or_else(|| format!("/stats is missing {key}"))
-    };
+    let counter = |key: &str| stat(&value, key).ok_or_else(|| format!("/stats is missing {key}"));
     Ok((
         counter("compile_hits")?,
         counter("compile_misses")?,

@@ -14,7 +14,7 @@
 //! `/healthz` and aggregated `/stats`. `--record` captures forwarded
 //! traffic to a line-delimited JSON tape that `replaygen` can verify
 //! byte-for-byte later. `--probe` runs the self-hosted router smoke
-//! test (checks 16–21, after `raysearchd --probe`'s 15) against an
+//! test (checks 19–28, after `raysearchd --probe`'s 18) against an
 //! in-process fleet and exits 0 on success.
 
 use std::path::PathBuf;

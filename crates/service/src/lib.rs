@@ -13,8 +13,9 @@
 //!   counters, keyed by canonicalized instance parameters
 //!   ([`raysearch_core::canon`]);
 //! * [`api`] — the endpoints (`/closed_form`, `/evaluate`, `/verdict`,
-//!   `/campaign`, `/healthz`, `/stats`) over the `raysearch-core`
-//!   evaluators and the E1–E10 campaign registry;
+//!   `/campaign`, `/montecarlo`, `/healthz`, `/stats`, `/metrics`,
+//!   `/jobs`, `/debug/slow`, `/debug/trace`) over the `raysearch-core`
+//!   evaluators, the Monte-Carlo engine and the campaign registry;
 //! * [`server`] — a fixed HTTP worker pool behind a bounded accept
 //!   queue, with load shedding (503 + `Retry-After`), cooperative
 //!   shutdown, and a separate compute-worker pool draining the job
@@ -45,7 +46,8 @@
 //! * [`telemetry`] — the observability layer: per-request span timing
 //!   into per-endpoint latency histograms, `x-raysearch-trace`
 //!   propagation, a bounded slow-request log (`GET /debug/slow`), the
-//!   Prometheus text renderer behind `GET /metrics` on both tiers, and
+//!   metric registry that both tiers render `GET /stats` and
+//!   `GET /metrics` from (the router re-exporting every backend row), and
 //!   hierarchical span traces: every measured span also lands in a
 //!   per-request tree ([`raysearch_core::trace`]), sampled traces are
 //!   served from `GET /debug/trace/{id}`, and the router assembles the

@@ -19,7 +19,7 @@ use crate::client::{fetch_json, HttpClient};
 use crate::http::{Request, Response};
 use crate::route::{rendezvous_rank, BackendSpec, RouterState};
 use crate::server::{Handler, Server, ServerConfig};
-use crate::telemetry::TRACE_HEADER;
+use crate::telemetry::{stat, TRACE_HEADER};
 
 /// One passed probe check, for reporting.
 pub type CheckLine = String;
@@ -142,11 +142,8 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     // 8. stats reflects the traffic and the cache hit
     let (status, doc) = fetch_json(addr, "GET", "/stats", None)?;
     expect(status == 200, "stats should be 200", &doc)?;
-    let hits = cache_hits(&doc);
-    let requests = doc
-        .get("requests_total")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+    let hits = stat(&doc, "cache.hits").unwrap_or(0);
+    let requests = stat(&doc, "requests_total").unwrap_or(0);
     expect(hits >= 1, "stats should show at least one cache hit", &doc)?;
     expect(requests >= 7, "stats should count this session", &doc)?;
     pass(format!("stats: {requests} requests, {hits} cache hits"));
@@ -193,7 +190,7 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
 
     // 11. the identical montecarlo is a cache hit, visible in /stats
     let (_, stats_before) = fetch_json(addr, "GET", "/stats", None)?;
-    let hits_before = cache_hits(&stats_before);
+    let hits_before = stat(&stats_before, "cache.hits").unwrap_or(0);
     let (status, doc) = fetch_json(addr, "POST", "/montecarlo", Some(mc_body))?;
     expect(
         status == 200 && doc.get("cached").and_then(Value::as_bool) == Some(true),
@@ -202,7 +199,7 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     )?;
     let (_, stats_after) = fetch_json(addr, "GET", "/stats", None)?;
     expect(
-        cache_hits(&stats_after) > hits_before,
+        stat(&stats_after, "cache.hits").unwrap_or(0) > hits_before,
         "stats should record the montecarlo cache hit",
         &stats_after,
     )?;
@@ -222,8 +219,9 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     }
     let (_, stats_after) = fetch_json(addr, "GET", "/stats", None)?;
     expect(
-        cache_hits(&stats_after) == cache_hits(&stats_before)
-            && cache_misses(&stats_after) == cache_misses(&stats_before),
+        ["cache.hits", "cache.misses"].iter().all(|path| {
+            stat(&stats_after, path).unwrap_or(0) == stat(&stats_before, path).unwrap_or(0)
+        }),
         "bad montecarlo requests must not touch the cache",
         &stats_after,
     )?;
@@ -251,9 +249,10 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     }
     let (_, stats_after) = fetch_json(addr, "GET", "/stats", None)?;
     expect(
-        cache_hits(&stats_after) == cache_hits(&stats_before)
-            && cache_misses(&stats_after) == cache_misses(&stats_before) + 2
-            && cache_entries(&stats_after) == cache_entries(&stats_before),
+        ["cache.hits", "cache.entries"].iter().all(|path| {
+            stat(&stats_after, path).unwrap_or(0) == stat(&stats_before, path).unwrap_or(0)
+        }) && stat(&stats_after, "cache.misses").unwrap_or(0)
+            == stat(&stats_before, "cache.misses").unwrap_or(0) + 2,
         "p=1.0 runs must recompute every time and cache nothing",
         &stats_after,
     )?;
@@ -296,7 +295,7 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     // must hit the compiled-fleet memo (the trivial-regime zone fleet
     // is f-free), visible as a compile_hits advance in /stats
     let (_, stats_before) = fetch_json(addr, "GET", "/stats", None)?;
-    let compile_hits_before = compile_hits(&stats_before);
+    let compile_hits_before = stat(&stats_before, "compile_hits").unwrap_or(0);
     let (status, doc) = fetch_json(
         addr,
         "POST",
@@ -317,19 +316,19 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     )?;
     let (_, stats_after) = fetch_json(addr, "GET", "/stats", None)?;
     expect(
-        compile_hits(&stats_after) > compile_hits_before,
+        stat(&stats_after, "compile_hits").unwrap_or(0) > compile_hits_before,
         "same-geometry evaluate with different f should hit the compile cache",
         &stats_after,
     )?;
     expect(
-        compile_entries(&stats_after) > 0,
+        stat(&stats_after, "compile_entries").unwrap_or(0) > 0,
         "stats should report resident compiled fleets",
         &stats_after,
     )?;
     pass(format!(
         "compile cache: k=768 f=1→f=3 reused one zone fleet ({} hits, {} entries)",
-        compile_hits(&stats_after),
-        compile_entries(&stats_after)
+        stat(&stats_after, "compile_hits").unwrap_or(0),
+        stat(&stats_after, "compile_entries").unwrap_or(0)
     ));
 
     // 16. async jobs: a deep campaign submitted via POST /jobs runs on
@@ -402,15 +401,10 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
     // 17. job lifecycle counters land in /stats, and terminal jobs are
     // no longer cancellable (409, not a silent success)
     let (status, stats) = fetch_json(addr, "GET", "/stats", None)?;
-    let job_counter = |name: &str| {
-        stats
-            .get("jobs")
-            .and_then(|j| j.get(name))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
+    let submitted = stat(&stats, "jobs.submitted").unwrap_or(0);
+    let completed = stat(&stats, "jobs.completed").unwrap_or(0);
     expect(
-        status == 200 && job_counter("submitted") >= 1 && job_counter("completed") >= 1,
+        status == 200 && submitted >= 1 && completed >= 1,
         "stats should count the submitted and completed job",
         &stats,
     )?;
@@ -421,9 +415,7 @@ pub fn run_probe(addr: &str) -> Result<Vec<CheckLine>, String> {
         &doc,
     )?;
     pass(format!(
-        "jobs: lifecycle counters in /stats ({} submitted, {} completed), done job uncancellable",
-        job_counter("submitted"),
-        job_counter("completed")
+        "jobs: lifecycle counters in /stats ({submitted} submitted, {completed} completed), done job uncancellable"
     ));
 
     // 18. job admission errors are well-formed: unknown and malformed
@@ -595,10 +587,7 @@ fn backend_entry<'a>(stats: &'a Value, id: &str) -> Result<&'a Value, String> {
 }
 
 fn routed_of(stats: &Value, id: &str) -> Result<u64, String> {
-    Ok(backend_entry(stats, id)?
-        .get("routed")
-        .and_then(Value::as_u64)
-        .unwrap_or(0))
+    Ok(stat(backend_entry(stats, id)?, "routed").unwrap_or(0))
 }
 
 /// Probes a self-hosted router: one real in-process backend plus one
@@ -697,22 +686,22 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
     state.check_backends_now();
     let (status, stats) = fetch_json(addr, "GET", "/stats", None)?;
     expect(status == 200, "router stats should be 200", &stats)?;
-    let uint = |doc: &Value, name: &str| doc.get(name).and_then(Value::as_u64).unwrap_or(0);
     let backends = stats
         .get("backends")
         .and_then(Value::as_array)
         .ok_or_else(|| format!("router stats without backends: {}", stats.to_json_string()))?;
-    let sum = |field: &str| -> u64 { backends.iter().map(|b| uint(b, field)).sum() };
+    let total = |name: &str| stat(&stats, name).unwrap_or(0);
+    let sum = |name: &str| -> u64 { backends.iter().filter_map(|b| stat(b, name)).sum() };
     expect(
-        uint(&stats, "routed_total") == sum("routed"),
+        total("routed_total") == sum("routed"),
         "routed_total should equal the per-backend routed sum",
         &stats,
     )?;
     expect(
-        uint(&stats, "cache_hits") == sum("hits")
-            && uint(&stats, "cache_misses") == sum("misses")
-            && uint(&stats, "backend_shed") == sum("shed")
-            && uint(&stats, "backend_requests") == sum("requests"),
+        total("cache_hits") == sum("hits")
+            && total("cache_misses") == sum("misses")
+            && total("backend_shed") == sum("shed")
+            && total("backend_requests") == sum("requests"),
         "aggregated cache/shed/request sums should match the per-backend columns",
         &stats,
     )?;
@@ -724,27 +713,24 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
         &stats,
     )?;
     expect(
-        uint(&stats, "cache_hits") >= 1,
+        total("cache_hits") >= 1,
         "the check-16 repeat should be visible as an aggregated hit",
         &stats,
     )?;
     expect(
-        stats
-            .get("stats_age_micros")
-            .and_then(Value::as_u64)
-            .is_some()
+        stat(&stats, "stats_age_micros").is_some()
             && backends
                 .iter()
-                .all(|b| b.get("stats_age_micros").and_then(Value::as_u64).is_some()),
+                .all(|b| stat(b, "stats_age_micros").is_some()),
         "cached snapshots should carry their staleness age",
         &stats,
     )?;
     pass(format!(
         "check 20 - stats: totals consistent over {} backends ({} routed, {} hits, snapshot age {} us)",
         backends.len(),
-        uint(&stats, "routed_total"),
-        uint(&stats, "cache_hits"),
-        uint(&stats, "stats_age_micros")
+        total("routed_total"),
+        total("cache_hits"),
+        total("stats_age_micros")
     ));
 
     // 21. a backend's 503 passes through: the router reports the shed
@@ -777,7 +763,8 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
     )?;
     let (_, after) = fetch_json(addr, "GET", "/stats", None)?;
     expect(
-        uint(&after, "shed_passthrough") == uint(&before, "shed_passthrough") + 1,
+        stat(&after, "shed_passthrough").unwrap_or(0)
+            == stat(&before, "shed_passthrough").unwrap_or(0) + 1,
         "the passthrough should advance shed_passthrough by exactly one",
         &after,
     )?;
@@ -1028,63 +1015,12 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
     let (status, stats) = fetch_json(addr, "GET", "/stats", None)?;
     expect(
         status == 200
-            && stats
-                .get("jobs_submitted")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                >= 1
-            && stats
-                .get("jobs_completed")
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
-                >= 1,
+            && stat(&stats, "jobs_submitted").unwrap_or(0) >= 1
+            && stat(&stats, "jobs_completed").unwrap_or(0) >= 1,
         "router stats should aggregate the backend's job counters",
         &stats,
     )?;
     pass("check 28 - jobs: out-of-fleet id is a router 404, job counters aggregated".to_owned());
 
     Ok(lines)
-}
-
-/// The cache hit counter of a `/stats` document.
-fn cache_hits(stats: &Value) -> u64 {
-    stats
-        .get("cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-/// The cache miss counter of a `/stats` document.
-fn cache_misses(stats: &Value) -> u64 {
-    stats
-        .get("cache")
-        .and_then(|c| c.get("misses"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-/// The resident-entry counter of a `/stats` document.
-fn cache_entries(stats: &Value) -> u64 {
-    stats
-        .get("cache")
-        .and_then(|c| c.get("entries"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-/// The compiled-fleet hit counter of a `/stats` document.
-fn compile_hits(stats: &Value) -> u64 {
-    stats
-        .get("compile_hits")
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-/// The compiled-fleet resident-entry counter of a `/stats` document.
-fn compile_entries(stats: &Value) -> u64 {
-    stats
-        .get("compile_entries")
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
 }

@@ -60,15 +60,15 @@ use parking_lot::Mutex;
 use raysearch_core::{stable_hash64_parts, SpanData, TraceRecorder};
 use serde_json::{Map, Value};
 
-use crate::api::routing_key;
+use crate::api::{routing_key, SERVICE_METRICS};
 use crate::client::{FullResponse, HttpClient, SendError};
 use crate::http::{Request, Response};
 use crate::jobs::{job_node, parse_job_id};
 use crate::server::Handler;
 use crate::tape::{is_recordable, TapeEntry, TapeRecorder};
 use crate::telemetry::{
-    metrics_response, push_counter, push_gauge, push_metric, trace_index_json, trace_json, Span,
-    SpanSet, Telemetry, TRACE_HEADER,
+    counter, flag, gauge, metrics_response, stat, trace_index_json, trace_json, write_families,
+    write_stats, Metric, Span, SpanSet, Telemetry, TRACE_HEADER,
 };
 
 /// How long a health probe waits before declaring a backend unhealthy.
@@ -145,40 +145,123 @@ pub fn rendezvous_rank(ids: &[String], key: &str) -> Vec<usize> {
     scored.into_iter().map(|(_, _, i)| i).collect()
 }
 
-/// A backend's `/stats` counters as last seen by the health thread —
-/// what the router's `/stats` and `/metrics` aggregate instead of
-/// polling backends synchronously per request.
-#[derive(Debug, Clone)]
-struct BackendCounters {
-    hits: u64,
-    misses: u64,
-    shed: u64,
-    requests: u64,
-    jobs_queued: u64,
-    jobs_running: u64,
-    jobs_submitted: u64,
-    jobs_completed: u64,
-    /// When the health pass fetched this snapshot (drives the
-    /// `stats_age_micros` staleness field).
-    fetched: Instant,
+/// The router's own metric registry, in `/stats` order; `/metrics`
+/// renders it as `raysearch_router_` families.
+static ROUTER_METRICS: [Metric<RouterState>; 11] = [
+    counter(
+        "requests_total",
+        "Requests accepted by the router (including local endpoints).",
+        |r| load(&r.requests),
+    ),
+    counter("routed_total", "Requests answered by some backend.", |r| {
+        load(&r.routed_total)
+    }),
+    counter(
+        "failover_total",
+        "Failover hops after backend transport failures.",
+        |r| load(&r.failover_total),
+    ),
+    counter(
+        "shed_passthrough",
+        "Backend 503 responses passed through to clients.",
+        |r| load(&r.shed_passthrough),
+    ),
+    counter(
+        "shed_total",
+        "Connections shed by the router's own acceptor.",
+        |r| load(&r.shed),
+    ),
+    counter(
+        "no_backend_total",
+        "Requests that exhausted every backend (502).",
+        |r| load(&r.no_backend_total),
+    ),
+    gauge(
+        "healthy_backends",
+        "Backends currently marked healthy.",
+        |r| Some(r.healthy_backends() as u64),
+    ),
+    gauge(
+        "uptime_micros",
+        "Microseconds since the router process started.",
+        |r| Some(r.started.elapsed().as_micros() as u64),
+    ),
+    gauge(
+        "uptime_seconds",
+        "Seconds since the router process started.",
+        |r| Some(r.started.elapsed().as_secs()),
+    ),
+    gauge(
+        "traces_stored",
+        "Completed span traces currently held in the trace ring.",
+        |r| Some(r.telemetry.recorder().stored()),
+    ),
+    counter(
+        "traces_dropped_total",
+        "Completed traces evicted from the trace ring (oldest-first).",
+        |r| Some(r.telemetry.recorder().dropped_total()),
+    ),
+];
+
+/// What the router itself knows per backend, in the order of a `/stats`
+/// `backends` entry; `/metrics` renders it as `raysearch_router_backend_`
+/// families labeled `backend`.
+static PER_BACKEND_METRICS: [Metric<Backend>; 6] = [
+    flag(
+        "healthy",
+        "Backend health as seen by the health thread (1 healthy).",
+        |b| Some(u64::from(b.healthy.load(Ordering::Relaxed))),
+    ),
+    counter(
+        "routed",
+        "Requests each backend answered (any HTTP status).",
+        |b| load(&b.routed),
+    ),
+    counter("failed", "Transport failures observed per backend.", |b| {
+        load(&b.failed)
+    }),
+    counter(
+        "connects",
+        "Connections the router opened per backend (retries included).",
+        |b| load(&b.connects),
+    ),
+    counter(
+        "stale_retries",
+        "Pooled connections per backend found closed unanswered and retried fresh.",
+        |b| load(&b.stale_retries),
+    ),
+    gauge(
+        "stats_age_micros",
+        "Age of each backend's cached /stats snapshot.",
+        |b| {
+            let snapshot = b.snapshot.lock();
+            snapshot
+                .as_ref()
+                .map(|(_, at)| at.elapsed().as_micros() as u64)
+        },
+    ),
+];
+
+/// Backend `/stats` values the router's `/stats` also shows under their
+/// historical names: `(backend path, name in a backends entry, name of
+/// the sum over backends)`.
+const STATS_ALIASES: [(&str, &str, &str); 8] = [
+    ("cache.hits", "hits", "cache_hits"),
+    ("cache.misses", "misses", "cache_misses"),
+    ("shed_total", "shed", "backend_shed"),
+    ("requests_total", "requests", "backend_requests"),
+    ("jobs.queued", "jobs_queued", "jobs_queued"),
+    ("jobs.running", "jobs_running", "jobs_running"),
+    ("jobs.submitted", "jobs_submitted", "jobs_submitted"),
+    ("jobs.completed", "jobs_completed", "jobs_completed"),
+];
+
+fn load(counter: &AtomicU64) -> Option<u64> {
+    Some(counter.load(Ordering::Relaxed))
 }
 
-impl BackendCounters {
-    fn from_stats(doc: &Value, fetched: Instant) -> BackendCounters {
-        let uint = |v: Option<&Value>| v.and_then(Value::as_u64).unwrap_or(0);
-        let jobs = |name: &str| uint(doc.get("jobs").and_then(|j| j.get(name)));
-        BackendCounters {
-            hits: uint(doc.get("cache").and_then(|c| c.get("hits"))),
-            misses: uint(doc.get("cache").and_then(|c| c.get("misses"))),
-            shed: uint(doc.get("shed_total")),
-            requests: uint(doc.get("requests_total")),
-            jobs_queued: jobs("queued"),
-            jobs_running: jobs("running"),
-            jobs_submitted: jobs("submitted"),
-            jobs_completed: jobs("completed"),
-            fetched,
-        }
-    }
+fn to_json(value: u64) -> Value {
+    serde_json::to_value(value).expect("u64 serializes")
 }
 
 /// One backend at runtime: the spec plus live state and counters.
@@ -200,10 +283,11 @@ struct Backend {
     stale_retries: AtomicU64,
     /// The idle keep-alive connection and the exchanges in flight.
     pool: Mutex<Pool>,
-    /// The backend's own counters as of the last successful health
-    /// pass. Kept (stale) when the backend stops answering, so
-    /// `/stats` can still show the last known numbers with their age.
-    stats_cache: Mutex<Option<BackendCounters>>,
+    /// The backend's own `/stats` document as of the last successful
+    /// health pass, and when that pass fetched it. Kept (stale) when the
+    /// backend stops answering, so `/stats` and `/metrics` can still
+    /// show the last known numbers with their age.
+    snapshot: Mutex<Option<(Value, Instant)>>,
 }
 
 /// A backend's connection pool: the idle keep-alive connection, tagged
@@ -221,8 +305,11 @@ impl Backend {
         self.addr.lock().clone()
     }
 
-    fn cached_counters(&self) -> Option<BackendCounters> {
-        self.stats_cache.lock().clone()
+    fn snapshot(&self) -> Option<Value> {
+        self.snapshot
+            .lock()
+            .as_ref()
+            .map(|(stats, _)| stats.clone())
     }
 
     /// Forwards `req` to this backend at `addr`: the body byte for
@@ -386,7 +473,7 @@ impl RouterState {
                     connects: AtomicU64::new(0),
                     stale_retries: AtomicU64::new(0),
                     pool: Mutex::default(),
-                    stats_cache: Mutex::new(None),
+                    snapshot: Mutex::new(None),
                 })
                 .collect(),
             started: Instant::now(),
@@ -460,18 +547,18 @@ impl RouterState {
                 if status != 200 {
                     return Some((false, None));
                 }
-                let counters = get("/stats")
+                let snapshot = get("/stats")
                     .filter(|(status, _, _)| *status == 200)
                     .and_then(|(_, _, text)| serde_json::from_str(&text).ok())
-                    .map(|doc: Value| BackendCounters::from_stats(&doc, Instant::now()));
-                Some((true, counters))
+                    .map(|doc: Value| (doc, Instant::now()));
+                Some((true, snapshot))
             });
-            let (healthy, counters) = probed.unwrap_or((false, None));
+            let (healthy, snapshot) = probed.unwrap_or((false, None));
             backend.healthy.store(healthy, Ordering::Relaxed);
-            if counters.is_some() {
+            if snapshot.is_some() {
                 // a failed fetch keeps the previous (stale) snapshot:
                 // last known numbers plus their age beat no numbers
-                *backend.stats_cache.lock() = counters;
+                *backend.snapshot.lock() = snapshot;
             }
         }
         self.healthy_backends()
@@ -529,289 +616,83 @@ impl RouterState {
         Response::ok(Value::Object(doc).to_json_string())
     }
 
-    /// The router's `/stats`: router-level counters plus an aggregation
-    /// over every backend's counters **as cached by the health thread**
-    /// (hit/miss/shed/request counters), per backend and summed. No
-    /// synchronous backend polling happens here — `reachable` means "a
-    /// health pass has fetched this backend's stats at least once", and
-    /// each snapshot carries a `stats_age_micros` staleness field
-    /// (bounded by the health interval in steady state).
-    fn stats(&self) -> Response {
-        let mut per_backend = Vec::new();
-        let mut hits_sum = 0u64;
-        let mut misses_sum = 0u64;
-        let mut shed_sum = 0u64;
-        let mut requests_sum = 0u64;
-        let mut jobs_queued_sum = 0u64;
-        let mut jobs_running_sum = 0u64;
-        let mut jobs_submitted_sum = 0u64;
-        let mut jobs_completed_sum = 0u64;
+    /// The router's `/stats` document, served from the health thread's
+    /// cached snapshots (no backend is polled here): the
+    /// [`ROUTER_METRICS`] rows, each [`STATS_ALIASES`] value summed over
+    /// the backends, the oldest snapshot's `stats_age_micros`, and one
+    /// `backends` entry per backend — its id, its [`PER_BACKEND_METRICS`]
+    /// rows, its snapshot's aliased values and `reachable` ("a health
+    /// pass has fetched this backend's stats at least once").
+    fn stats_doc(&self) -> Value {
+        let mut sums = [0u64; STATS_ALIASES.len()];
         let mut max_age = 0u64;
+        let mut backends = Vec::new();
         for backend in &self.backends {
-            let mut bd = Map::new();
-            bd.insert("id".to_owned(), Value::String(backend.id.clone()));
-            bd.insert(
-                "healthy".to_owned(),
-                Value::Bool(backend.healthy.load(Ordering::Relaxed)),
-            );
-            bd.insert(
-                "routed".to_owned(),
-                serde_json::to_value(backend.routed.load(Ordering::Relaxed))
-                    .expect("u64 serializes"),
-            );
-            for (name, counter) in [
-                ("failed", &backend.failed),
-                ("connects", &backend.connects),
-                ("stale_retries", &backend.stale_retries),
-            ] {
-                bd.insert(
-                    name.to_owned(),
-                    serde_json::to_value(counter.load(Ordering::Relaxed)).expect("u64 serializes"),
-                );
+            let mut entry = Map::new();
+            entry.insert("id".to_owned(), Value::String(backend.id.clone()));
+            write_stats(&mut entry, &PER_BACKEND_METRICS, backend);
+            let age = entry.get("stats_age_micros").and_then(Value::as_u64);
+            max_age = max_age.max(age.unwrap_or(0));
+            let snapshot = backend.snapshot();
+            if let Some(stats) = &snapshot {
+                for ((path, name, _), sum) in STATS_ALIASES.iter().zip(&mut sums) {
+                    let value = stat(stats, path).unwrap_or(0);
+                    *sum += value;
+                    entry.insert((*name).to_owned(), to_json(value));
+                }
             }
-            let cached = backend.cached_counters();
-            let reachable = cached.is_some();
-            if let Some(counters) = &cached {
-                let age = counters.fetched.elapsed().as_micros() as u64;
-                max_age = max_age.max(age);
-                hits_sum += counters.hits;
-                misses_sum += counters.misses;
-                shed_sum += counters.shed;
-                requests_sum += counters.requests;
-                jobs_queued_sum += counters.jobs_queued;
-                jobs_running_sum += counters.jobs_running;
-                jobs_submitted_sum += counters.jobs_submitted;
-                jobs_completed_sum += counters.jobs_completed;
-                let mut field = |name: &str, value: u64| {
-                    bd.insert(
-                        name.to_owned(),
-                        serde_json::to_value(value).expect("u64 serializes"),
-                    );
-                };
-                field("hits", counters.hits);
-                field("misses", counters.misses);
-                field("shed", counters.shed);
-                field("requests", counters.requests);
-                field("jobs_queued", counters.jobs_queued);
-                field("jobs_running", counters.jobs_running);
-                field("jobs_submitted", counters.jobs_submitted);
-                field("jobs_completed", counters.jobs_completed);
-                field("stats_age_micros", age);
-            }
-            bd.insert("reachable".to_owned(), Value::Bool(reachable));
-            per_backend.push(Value::Object(bd));
+            entry.insert("reachable".to_owned(), Value::Bool(snapshot.is_some()));
+            backends.push(Value::Object(entry));
         }
-
         let mut doc = Map::new();
-        let mut counter = |name: &str, value: u64| {
-            doc.insert(
-                name.to_owned(),
-                serde_json::to_value(value).expect("u64 serializes"),
-            );
-        };
-        counter("requests_total", self.requests.load(Ordering::Relaxed));
-        counter("routed_total", self.routed_total.load(Ordering::Relaxed));
-        counter(
-            "failover_total",
-            self.failover_total.load(Ordering::Relaxed),
-        );
-        counter(
-            "shed_passthrough",
-            self.shed_passthrough.load(Ordering::Relaxed),
-        );
-        counter("shed_total", self.shed.load(Ordering::Relaxed));
-        counter(
-            "no_backend_total",
-            self.no_backend_total.load(Ordering::Relaxed),
-        );
-        counter("cache_hits", hits_sum);
-        counter("cache_misses", misses_sum);
-        counter("backend_shed", shed_sum);
-        counter("backend_requests", requests_sum);
-        counter("jobs_queued", jobs_queued_sum);
-        counter("jobs_running", jobs_running_sum);
-        counter("jobs_submitted", jobs_submitted_sum);
-        counter("jobs_completed", jobs_completed_sum);
-        counter("uptime_micros", self.started.elapsed().as_micros() as u64);
-        counter("stats_age_micros", max_age);
-        doc.insert("backends".to_owned(), Value::Array(per_backend));
-        Response::ok(Value::Object(doc).to_json_string())
+        write_stats(&mut doc, &ROUTER_METRICS, self);
+        for ((_, _, name), sum) in STATS_ALIASES.iter().zip(sums) {
+            doc.insert((*name).to_owned(), to_json(sum));
+        }
+        doc.insert("stats_age_micros".to_owned(), to_json(max_age));
+        doc.insert("backends".to_owned(), Value::Array(backends));
+        Value::Object(doc)
     }
 
-    /// The router's `GET /metrics`: Prometheus text exposition of the
-    /// router counters, the per-backend counters from the health-thread
-    /// cache (zero synchronous polling, like [`RouterState::stats`]),
-    /// and the per-endpoint span latency histograms.
+    /// The router's `GET /metrics`, rendered from its `/stats` document
+    /// (so, like `/stats`, it polls no backend): [`ROUTER_METRICS`] as
+    /// `raysearch_router_` families; per backend, labeled `backend`, its
+    /// [`PER_BACKEND_METRICS`] rows and every [`SERVICE_METRICS`] row found in
+    /// its cached `/stats`, both as `raysearch_router_backend_` families;
+    /// then the span latency histograms.
     fn metrics(&self) -> Response {
+        let doc = self.stats_doc();
+        let snapshots: Vec<Option<Value>> = self.backends.iter().map(Backend::snapshot).collect();
+        let entries = doc
+            .get("backends")
+            .and_then(Value::as_array)
+            .unwrap_or_default();
+        let (mut own, mut cached) = (Vec::new(), Vec::new());
+        for ((backend, entry), snapshot) in self.backends.iter().zip(entries).zip(&snapshots) {
+            let label = format!("backend=\"{}\"", backend.id);
+            if let Some(stats) = snapshot {
+                cached.push((label.clone(), stats));
+            }
+            own.push((label, entry));
+        }
         let mut out = String::new();
-        push_counter(
+        write_families(
             &mut out,
-            "raysearch_router_requests_total",
-            "Requests accepted by the router (including local endpoints).",
-            self.requests.load(Ordering::Relaxed),
+            "raysearch_router",
+            &ROUTER_METRICS,
+            &[(String::new(), &doc)],
         );
-        push_counter(
+        write_families(
             &mut out,
-            "raysearch_router_routed_total",
-            "Requests answered by some backend.",
-            self.routed_total.load(Ordering::Relaxed),
+            "raysearch_router_backend",
+            &PER_BACKEND_METRICS,
+            &own,
         );
-        push_counter(
+        write_families(
             &mut out,
-            "raysearch_router_failover_total",
-            "Failover hops after backend transport failures.",
-            self.failover_total.load(Ordering::Relaxed),
-        );
-        push_counter(
-            &mut out,
-            "raysearch_router_shed_passthrough_total",
-            "Backend 503 responses passed through to clients.",
-            self.shed_passthrough.load(Ordering::Relaxed),
-        );
-        push_counter(
-            &mut out,
-            "raysearch_router_shed_total",
-            "Connections shed by the router's own acceptor.",
-            self.shed.load(Ordering::Relaxed),
-        );
-        push_counter(
-            &mut out,
-            "raysearch_router_no_backend_total",
-            "Requests that exhausted every backend (502).",
-            self.no_backend_total.load(Ordering::Relaxed),
-        );
-        push_gauge(
-            &mut out,
-            "raysearch_router_healthy_backends",
-            "Backends currently marked healthy.",
-            self.healthy_backends() as u64,
-        );
-        push_gauge(
-            &mut out,
-            "raysearch_router_uptime_seconds",
-            "Seconds since the router process started.",
-            self.started.elapsed().as_secs(),
-        );
-        push_gauge(
-            &mut out,
-            "raysearch_router_traces_stored",
-            "Completed span traces currently held in the trace ring.",
-            self.telemetry.recorder().stored(),
-        );
-        push_counter(
-            &mut out,
-            "raysearch_router_traces_dropped_total",
-            "Completed traces evicted from the trace ring (oldest-first).",
-            self.telemetry.recorder().dropped_total(),
-        );
-
-        let label = |b: &Backend| format!("backend=\"{}\"", b.id);
-        let family = |picker: &dyn Fn(&Backend) -> Option<u64>| -> Vec<(String, u64)> {
-            self.backends
-                .iter()
-                .filter_map(|b| picker(b).map(|v| (label(b), v)))
-                .collect()
-        };
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_healthy",
-            "gauge",
-            "Backend health as seen by the health thread (1 healthy).",
-            &family(&|b| Some(u64::from(b.healthy.load(Ordering::Relaxed)))),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_routed_total",
-            "counter",
-            "Requests each backend answered (any HTTP status).",
-            &family(&|b| Some(b.routed.load(Ordering::Relaxed))),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_failed_total",
-            "counter",
-            "Transport failures observed per backend.",
-            &family(&|b| Some(b.failed.load(Ordering::Relaxed))),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_connects_total",
-            "counter",
-            "Connections the router opened per backend (retries included).",
-            &family(&|b| Some(b.connects.load(Ordering::Relaxed))),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_stale_retries_total",
-            "counter",
-            "Reused connections per backend that failed before any response byte and were retried fresh.",
-            &family(&|b| Some(b.stale_retries.load(Ordering::Relaxed))),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_cache_hits_total",
-            "counter",
-            "Result-cache hits per backend (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.hits)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_cache_misses_total",
-            "counter",
-            "Result-cache misses per backend (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.misses)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_shed_total",
-            "counter",
-            "Requests each backend shed (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.shed)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_requests_total",
-            "counter",
-            "Requests each backend served (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.requests)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_jobs_queued",
-            "gauge",
-            "Jobs queued per backend (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.jobs_queued)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_jobs_running",
-            "gauge",
-            "Jobs running per backend (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.jobs_running)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_jobs_submitted_total",
-            "counter",
-            "Jobs admitted per backend (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.jobs_submitted)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_jobs_completed_total",
-            "counter",
-            "Jobs completed per backend (health-thread snapshot).",
-            &family(&|b| b.cached_counters().map(|c| c.jobs_completed)),
-        );
-        push_metric(
-            &mut out,
-            "raysearch_router_backend_stats_age_micros",
-            "gauge",
-            "Age of each backend's cached counter snapshot.",
-            &family(&|b| {
-                b.cached_counters()
-                    .map(|c| c.fetched.elapsed().as_micros() as u64)
-            }),
+            "raysearch_router_backend",
+            &SERVICE_METRICS,
+            &cached,
         );
         self.telemetry
             .render_prometheus_histograms(&mut out, "raysearch_router");
@@ -1045,7 +926,7 @@ impl Handler for RouterState {
         let mut spans = SpanSet::start();
         let response = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => self.healthz(),
-            ("GET", "/stats") => self.stats(),
+            ("GET", "/stats") => Response::ok(self.stats_doc().to_json_string()),
             ("GET", "/metrics") => self.metrics(),
             ("GET", "/debug/slow") => Response::ok(self.telemetry.slow_log_json()),
             ("GET", "/debug/trace") => Response::ok(trace_index_json(self.telemetry.recorder())),

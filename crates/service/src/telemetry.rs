@@ -1,7 +1,7 @@
 //! The serving-tier observability layer: per-request span timing into a
 //! per-endpoint histogram registry, trace-id minting and propagation, a
-//! bounded slow-request log, hierarchical span traces, and the
-//! Prometheus text renderer behind `GET /metrics`.
+//! bounded slow-request log, hierarchical span traces, and the metric
+//! registry both tiers render `GET /stats` and `GET /metrics` from.
 //!
 //! Design constraints, in order:
 //!
@@ -24,6 +24,13 @@
 //!    once and feeds *both* the flat histograms and the hierarchical
 //!    span tree stored in the [`TraceRecorder`], so `/metrics` and
 //!    `/debug/trace/{id}` can never disagree about a duration.
+//! 5. **One table, two views**: each counter or gauge is one [`Metric`]
+//!    row in its tier's static table. `/stats` is built from the rows'
+//!    readers, and `/metrics` looks every row up in that document by
+//!    path under one naming rule ([`Metric::name`]), so a value is in
+//!    both views or in neither. The router renders the backend table
+//!    over each backend's `/stats` as cached by its health thread, so a
+//!    row added there is re-exported with no router-side edit.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +38,7 @@ use std::sync::Mutex;
 
 use raysearch_core::telemetry::{splitmix64, HistogramSnapshot, LatencyHistogram};
 use raysearch_core::trace::{CompletedTrace, SpanData, TraceBuilder, TraceRecorder};
+use serde_json::{Map, Value};
 
 use crate::http::{Request, Response};
 
@@ -170,12 +178,13 @@ impl SlowEntry {
                 spans.push_str(&format!("\"{}\":{}", span.label(), self.spans[i]));
             }
         }
+        let quote = |s: String| Value::String(s).to_json_string();
         format!(
-            "{{\"trace\":\"{}\",\"trace_url\":{},\"method\":\"{}\",\"path\":{},\"status\":{},\"total_micros\":{},\"spans\":{{{}}}}}",
-            self.trace,
-            serde_json::Value::String(format!("/debug/trace/{}", self.trace)).to_json_string(),
-            self.method,
-            serde_json::Value::String(self.path.clone()).to_json_string(),
+            "{{\"trace\":{},\"trace_url\":{},\"method\":{},\"path\":{},\"status\":{},\"total_micros\":{},\"spans\":{{{}}}}}",
+            quote(self.trace.clone()),
+            quote(format!("/debug/trace/{}", self.trace)),
+            quote(self.method.clone()),
+            quote(self.path.clone()),
             self.status,
             self.spans[Span::Request as usize],
             spans
@@ -521,35 +530,162 @@ impl Telemetry {
     }
 }
 
-/// Appends one Prometheus metric family to `out`: HELP and TYPE once,
-/// then every `(labels, value)` sample (labels either empty or a
-/// comma-joined `k="v"` list). Grouping samples under one TYPE line is
-/// what the exposition format requires for labeled families.
-pub fn push_metric(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    samples: &[(String, u64)],
-) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    for (labels, value) in samples {
-        if labels.is_empty() {
-            out.push_str(&format!("{name} {value}\n"));
+/// How a registered value behaves, which picks its Prometheus `TYPE`
+/// and whether its family name gains `_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Never decreases.
+    Counter,
+    /// A level that moves both ways.
+    Gauge,
+    /// A 0/1 gauge that `/stats` shows as a JSON boolean.
+    Flag,
+}
+
+/// One row of a metric registry: a value of a `T` and where it shows in
+/// `/stats` and `/metrics`. Each tier keeps its rows in one static
+/// table, and both views render from that table: [`write_stats`] builds
+/// the `/stats` document from the readers, and [`write_families`]
+/// renders `/metrics` by looking every row's path up in that document.
+pub struct Metric<T> {
+    /// Where the value sits in `/stats`: object keys joined by `.`.
+    pub path: &'static str,
+    /// Counter, gauge or flag.
+    pub kind: Kind,
+    /// The Prometheus `HELP` text.
+    pub help: &'static str,
+    /// Reads the value; `None` leaves it out of both views.
+    pub read: fn(&T) -> Option<u64>,
+}
+
+impl<T> Metric<T> {
+    /// The Prometheus family name under `prefix`: the path with `.`
+    /// replaced by `_`, plus `_total` for a counter whose path does not
+    /// already end in it (`cache.hits` is `{prefix}_cache_hits_total`).
+    #[must_use]
+    pub fn name(&self, prefix: &str) -> String {
+        let name = format!("{prefix}_{}", self.path.replace('.', "_"));
+        if self.kind == Kind::Counter && !name.ends_with("_total") {
+            name + "_total"
         } else {
-            out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+            name
         }
     }
 }
 
-/// Appends one unlabeled Prometheus counter to `out`.
-pub fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    push_metric(out, name, "counter", help, &[(String::new(), value)]);
+/// A [`Kind::Counter`] row.
+pub const fn counter<T>(
+    path: &'static str,
+    help: &'static str,
+    read: fn(&T) -> Option<u64>,
+) -> Metric<T> {
+    Metric {
+        path,
+        kind: Kind::Counter,
+        help,
+        read,
+    }
 }
 
-/// Appends one unlabeled Prometheus gauge to `out`.
-pub fn push_gauge(out: &mut String, name: &str, help: &str, value: u64) {
-    push_metric(out, name, "gauge", help, &[(String::new(), value)]);
+/// A [`Kind::Gauge`] row.
+pub const fn gauge<T>(
+    path: &'static str,
+    help: &'static str,
+    read: fn(&T) -> Option<u64>,
+) -> Metric<T> {
+    Metric {
+        path,
+        kind: Kind::Gauge,
+        help,
+        read,
+    }
+}
+
+/// A [`Kind::Flag`] row.
+pub const fn flag<T>(
+    path: &'static str,
+    help: &'static str,
+    read: fn(&T) -> Option<u64>,
+) -> Metric<T> {
+    Metric {
+        path,
+        kind: Kind::Flag,
+        help,
+        read,
+    }
+}
+
+/// The number at the dotted `path` of a `/stats` document (a boolean
+/// reads as 0 or 1), or `None` when no number is there.
+#[must_use]
+pub fn stat(doc: &Value, path: &str) -> Option<u64> {
+    let leaf = path.split('.').try_fold(doc, |node, key| node.get(key))?;
+    leaf.as_u64().or_else(|| leaf.as_bool().map(u64::from))
+}
+
+/// Adds every value `table` reads from `source` to `doc`, each at its
+/// row's path (creating the nested objects a dotted path names).
+pub fn write_stats<T>(doc: &mut Map, table: &[Metric<T>], source: &T) {
+    for metric in table {
+        if let Some(value) = (metric.read)(source) {
+            let value = match metric.kind {
+                Kind::Flag => Value::Bool(value != 0),
+                Kind::Counter | Kind::Gauge => serde_json::to_value(value).expect("u64 serializes"),
+            };
+            insert_at(doc, metric.path, value);
+        }
+    }
+}
+
+fn insert_at(doc: &mut Map, path: &str, value: Value) {
+    match path.split_once('.') {
+        None => {
+            doc.insert(path.to_owned(), value);
+        }
+        Some((key, rest)) => {
+            let mut child = doc
+                .get(key)
+                .and_then(Value::as_object)
+                .cloned()
+                .unwrap_or_default();
+            insert_at(&mut child, rest, value);
+            doc.insert(key.to_owned(), Value::Object(child));
+        }
+    }
+}
+
+/// Appends one Prometheus family per row of `table` to `out`, named by
+/// [`Metric::name`] under `prefix`: `HELP` and `TYPE`, then one sample
+/// for each `(labels, doc)` whose `/stats`-shaped document holds the
+/// row's path (`labels` empty or a comma-joined `k="v"` list).
+pub fn write_families<T>(
+    out: &mut String,
+    prefix: &str,
+    table: &[Metric<T>],
+    docs: &[(String, &Value)],
+) {
+    for metric in table {
+        let name = metric.name(prefix);
+        let kind = if metric.kind == Kind::Counter {
+            "counter"
+        } else {
+            "gauge"
+        };
+        out.push_str(&format!(
+            "# HELP {name} {}\n# TYPE {name} {kind}\n",
+            metric.help
+        ));
+        for (labels, doc) in docs {
+            let Some(value) = stat(doc, metric.path) else {
+                continue;
+            };
+            if labels.is_empty() {
+                out.push_str(&format!("{name} {value}\n"));
+            } else {
+                out.push_str(&format!("{name}{{{labels}}} {value}\n"));
+            }
+        }
+    }
 }
 
 /// Wraps a rendered exposition body into a `200` response with the
@@ -873,6 +1009,28 @@ mod tests {
                 .and_then(serde_json::Value::as_str),
             Some("/debug/trace/00000000deadbeef")
         );
+    }
+
+    #[test]
+    fn slow_log_escapes_client_chosen_trace_ids_and_methods() {
+        let t = Telemetry::new();
+        t.set_slow_threshold(0);
+        let mut req = get(
+            "/evaluate",
+            vec![(TRACE_HEADER.to_owned(), "ab\"c\\d".to_owned())],
+        );
+        req.method = "G\"ET".to_owned();
+        t.observe(&req, &t.trace_for(&req), 405, SpanSet::start());
+        let doc: serde_json::Value =
+            serde_json::from_str(&t.slow_log_json()).expect("slow log is JSON");
+        let entry = &doc
+            .get("entries")
+            .and_then(serde_json::Value::as_array)
+            .unwrap()[0];
+        let field = |name: &str| entry.get(name).and_then(serde_json::Value::as_str);
+        assert_eq!(field("trace"), Some("ab\"c\\d"));
+        assert_eq!(field("method"), Some("G\"ET"));
+        assert_eq!(field("trace_url"), Some("/debug/trace/ab\"c\\d"));
     }
 
     #[test]

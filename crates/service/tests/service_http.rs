@@ -444,6 +444,10 @@ fn large_fleet_evaluate_end_to_end() {
 fn probe_passes_against_a_fresh_server() {
     let (handle, addr) = spawn_server();
     let lines = raysearch_service::probe::run_probe(&addr).expect("probe passes");
-    assert!(lines.len() >= 8, "probe should run all checks: {lines:?}");
+    assert_eq!(
+        lines.len(),
+        18,
+        "probe should pass all 18 checks: {lines:?}"
+    );
     handle.shutdown();
 }
