@@ -30,7 +30,7 @@
 //!   ([`campaign::Report`]) — the machinery behind the E1–E10
 //!   experiment suite in `raysearch-bench`;
 //! * [`telemetry`] — the measurement core shared by the serving tier and
-//!   the load harnesses: lock-free power-of-two latency histograms
+//!   the replay harness: lock-free power-of-two latency histograms
 //!   ([`LatencyHistogram`]), mergeable plain-data snapshots with
 //!   integer-only percentile reads ([`HistogramSnapshot`]), and the
 //!   [`splitmix64`] mixer trace ids are minted from;

@@ -14,7 +14,7 @@
 //! tracked separately so the tail is never rounded. Snapshots are plain
 //! data and *mergeable* — per-shard or per-worker histograms sum into a
 //! fleet-wide view without losing quantile fidelity beyond the bucket
-//! width, which is what lets the router, the load harnesses and the
+//! width, which is what lets the router, the replay harness and the
 //! campaign engine share one histogram type.
 
 use std::sync::atomic::{AtomicU64, Ordering};

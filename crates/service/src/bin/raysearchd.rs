@@ -1,21 +1,17 @@
 //! `raysearchd` — the caching evaluation server for the `raysearch`
-//! reproduction, plus its self-client modes.
+//! reproduction, plus its self-client probe mode.
 //!
 //! ```text
 //! raysearchd [--addr HOST:PORT] [--workers N] [--queue N]
 //!            [--cache-capacity N] [--shards N] [--port-file PATH]
 //! raysearchd --probe ADDR
-//! raysearchd --bench N [--concurrency C] [--addr HOST:PORT]
 //! ```
 //!
 //! Serve mode binds (an ephemeral port by default), prints the bound
 //! address, optionally writes it to `--port-file` for scripts, and runs
 //! until killed. `--probe` smoke-tests every endpoint of a running
-//! server and exits 0 on success. `--bench` spawns a fresh in-process
-//! server (unless `--addr` points at one) and reports hot-vs-cold cache
-//! throughput as JSON.
+//! server and exits 0 on success.
 
-use raysearch_service::load::{run_load, LoadConfig};
 use raysearch_service::probe::run_probe;
 use raysearch_service::server::{Server, ServerConfig};
 
@@ -25,8 +21,6 @@ usage: raysearchd [mode] [options]
 modes (default: serve):
   --probe ADDR       smoke-test every endpoint of the server at ADDR
                      (e.g. 127.0.0.1:8077) and exit 0 if all pass
-  --bench N          load-test: N hot-phase requests; spawns a fresh
-                     in-process server unless --addr is given
 
 serve options:
   --addr HOST:PORT   bind address (default 127.0.0.1:0 = ephemeral port)
@@ -55,16 +49,11 @@ serve options:
                      job id, so a router can route polls back to the
                      minting backend (default 0)
 
-bench options:
-  --concurrency C    concurrent connections for --bench (default 4)
-
   --help             show this help";
 
 #[derive(Debug, Default)]
 struct Cli {
     probe: Option<String>,
-    bench: Option<usize>,
-    concurrency: usize,
     addr: Option<String>,
     port_file: Option<String>,
     workers: Option<usize>,
@@ -81,10 +70,7 @@ struct Cli {
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
-    let mut cli = Cli {
-        concurrency: 4,
-        ..Cli::default()
-    };
+    let mut cli = Cli::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value_of = |flag: &str| {
@@ -101,10 +87,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
             "--probe" => cli.probe = Some(value_of("--probe")?),
-            "--bench" => cli.bench = Some(parse_count("--bench", value_of("--bench")?)?),
-            "--concurrency" => {
-                cli.concurrency = parse_count("--concurrency", value_of("--concurrency")?)?;
-            }
             "--addr" => cli.addr = Some(value_of("--addr")?),
             "--port-file" => cli.port_file = Some(value_of("--port-file")?),
             "--workers" => cli.workers = Some(parse_count("--workers", value_of("--workers")?)?),
@@ -165,9 +147,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             }
             flag => return Err(format!("unknown flag {flag}")),
         }
-    }
-    if cli.probe.is_some() && cli.bench.is_some() {
-        return Err("--probe and --bench are mutually exclusive".to_owned());
     }
     Ok(Some(cli))
 }
@@ -237,45 +216,6 @@ fn probe(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn bench(cli: &Cli, requests: usize) -> Result<(), String> {
-    // an external --addr must point at a *fresh* server for the cold
-    // numbers to mean anything; without one we guarantee it in-process
-    let (addr, handle) = match &cli.addr {
-        Some(addr) => (addr.clone(), None),
-        None => {
-            let mut cfg = server_config(cli);
-            cfg.addr = "127.0.0.1:0".to_owned();
-            cfg.workers = cfg.workers.max(cli.concurrency + 2);
-            let server = Server::bind(cfg).map_err(|e| format!("bind: {e}"))?;
-            let handle = server.spawn();
-            (handle.addr().to_string(), Some(handle))
-        }
-    };
-    let report = run_load(
-        &addr,
-        LoadConfig {
-            requests,
-            concurrency: cli.concurrency,
-        },
-    );
-    if let Some(handle) = handle {
-        handle.shutdown();
-    }
-    let report = report?;
-    println!(
-        "{}",
-        serde_json::to_string(&report).expect("load report serializes")
-    );
-    eprintln!(
-        "bench: cold {:.1} req/s over {} requests, hot {:.1} req/s over {} requests, speedup {:.1}x",
-        report.cold_rps, report.cold_requests, report.hot_rps, report.hot_requests, report.speedup
-    );
-    if report.errors > 0 {
-        return Err(format!("{} request(s) failed", report.errors));
-    }
-    Ok(())
-}
-
 fn main() {
     let parsed = match parse_args(&std::env::args().skip(1).collect::<Vec<_>>()) {
         Ok(Some(cli)) => cli,
@@ -290,8 +230,6 @@ fn main() {
     };
     let outcome = if let Some(addr) = &parsed.probe {
         probe(addr)
-    } else if let Some(requests) = parsed.bench {
-        bench(&parsed, requests)
     } else {
         serve(&parsed)
     };

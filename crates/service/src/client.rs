@@ -1,6 +1,6 @@
-//! A minimal HTTP/1.1 client for the probe, the load generator and the
-//! integration tests — the same hand-rolled layer as the server, from
-//! the other side of the socket.
+//! A minimal HTTP/1.1 client for the probe, the router's forwards, tape
+//! replay and the integration tests — the same hand-rolled layer as the
+//! server, from the other side of the socket.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -175,6 +175,15 @@ impl HttpClient {
             .map(|text| (status, headers, text))
             .map_err(|_| bad("response body is not UTF-8".to_owned()))
     }
+}
+
+/// Whether response `headers` (names lowercased) announce
+/// `Connection: close`: the peer drops the socket after this response,
+/// so the connection must not carry another request.
+pub(crate) fn announces_close(headers: &[(String, String)]) -> bool {
+    headers
+        .iter()
+        .any(|(name, value)| name == "connection" && value.eq_ignore_ascii_case("close"))
 }
 
 fn bad(why: String) -> std::io::Error {

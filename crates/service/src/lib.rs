@@ -26,9 +26,8 @@
 //!   the node-tagged job-id scheme behind `POST /jobs`,
 //!   `GET /jobs/{id}` (long-poll via `?wait_micros=`) and
 //!   `DELETE /jobs/{id}`;
-//! * [`client`] / [`probe`] / [`load`] — the self-client: CI smoke
-//!   probing (`raysearchd --probe`, `raysearch-router --probe`) and the
-//!   hot-vs-cold load harness (`raysearchd --bench`).
+//! * [`client`] / [`probe`] — the self-client: CI smoke probing
+//!   (`raysearchd --probe`, `raysearch-router --probe`).
 //!
 //! The scale-out tier shards requests across many `raysearchd`
 //! processes and regression-tests the whole fleet at the byte level:
@@ -40,9 +39,11 @@
 //!   handshakes (spawn / kill / respawn on fresh ephemeral ports);
 //! * [`tape`] — the record/replay tape format with normalized response
 //!   digests;
-//! * [`replay`] — deterministic tape replay (`replaygen`): concurrent
-//!   re-issue in tick order, byte-identity verification, counter
-//!   fingerprints that are concurrency-invariant by construction;
+//! * [`replay`] — deterministic tape replay (`replaygen`), the one
+//!   load-and-verify harness: concurrent re-issue in tick order,
+//!   byte-identity verification, counter fingerprints that are
+//!   concurrency-invariant by construction, per-endpoint latency
+//!   percentiles;
 //! * [`telemetry`] — the observability layer: per-request span timing
 //!   into per-endpoint latency histograms, `x-raysearch-trace`
 //!   propagation, a bounded slow-request log (`GET /debug/slow`), the
@@ -85,7 +86,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod load;
 pub mod probe;
 pub mod replay;
 pub mod route;

@@ -16,18 +16,42 @@
 //! byte-identity criterion, modulo the `cached` flag), digest
 //! mismatch (a hard failure), `503` shed (counted, not compared — an
 //! overloaded fleet refuses, it does not lie), and transport errors.
+//! A response that announces `Connection: close` (an acceptor's shed,
+//! a `500`) retires its connection, so the worker's next entry goes
+//! out on a fresh one instead of failing on a socket the peer closed.
 
 use std::time::Instant;
 
 use serde_json::{Map, Value};
 
-use crate::client::HttpClient;
-use crate::load::EndpointLatency;
+use crate::client::{announces_close, HttpClient};
 use crate::tape::Tape;
 use raysearch_core::telemetry::LatencyHistogram;
 
 /// How many mismatches keep their full detail line in the report.
 pub const MAX_MISMATCH_DETAILS: usize = 8;
+
+/// Client-observed latency percentiles for one endpoint of a pass,
+/// computed from the same log-bucketed histogram the servers use for
+/// their `/metrics` tier (so replay reports and live metrics agree on
+/// bucketing semantics: `p ≤ reported < 2p`, max is exact).
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct EndpointLatency {
+    /// Endpoint label, the request path without its leading slash.
+    pub endpoint: String,
+    /// Requests timed into this histogram.
+    pub requests: u64,
+    /// 50th-percentile round-trip latency, microseconds.
+    pub p50_micros: u64,
+    /// 90th-percentile round-trip latency, microseconds.
+    pub p90_micros: u64,
+    /// 95th-percentile round-trip latency, microseconds.
+    pub p95_micros: u64,
+    /// 99th-percentile round-trip latency, microseconds.
+    pub p99_micros: u64,
+    /// Exact slowest round trip, microseconds.
+    pub max_micros: u64,
+}
 
 /// The outcome of one replay pass.
 #[derive(Debug, Clone, Default)]
@@ -105,8 +129,8 @@ impl ReplayReport {
         )
     }
 
-    /// The report as a JSON document (fixed field order), the
-    /// `BENCH_7.json`-style artifact `replaygen` emits.
+    /// The report as a JSON document (fixed field order): one entry of
+    /// the `passes` array in `replaygen`'s report.
     #[must_use]
     pub fn to_json(&self) -> Value {
         let mut doc = Map::new();
@@ -138,28 +162,7 @@ impl ReplayReport {
         );
         doc.insert(
             "endpoints".to_owned(),
-            Value::Array(
-                self.endpoints
-                    .iter()
-                    .map(|e| {
-                        let mut obj = Map::new();
-                        obj.insert("endpoint".to_owned(), Value::String(e.endpoint.clone()));
-                        let mut uint = |name: &str, value: u64| {
-                            obj.insert(
-                                name.to_owned(),
-                                serde_json::to_value(value).expect("u64 serializes"),
-                            );
-                        };
-                        uint("requests", e.requests);
-                        uint("p50_micros", e.p50_micros);
-                        uint("p90_micros", e.p90_micros);
-                        uint("p95_micros", e.p95_micros);
-                        uint("p99_micros", e.p99_micros);
-                        uint("max_micros", e.max_micros);
-                        Value::Object(obj)
-                    })
-                    .collect(),
-            ),
+            serde_json::to_value(&self.endpoints).expect("endpoint rows serialize"),
         );
         Value::Object(doc)
     }
@@ -287,11 +290,18 @@ pub fn replay(addr: &str, tape: &Tape, concurrency: usize) -> Result<ReplayRepor
                         continue;
                     };
                     let sent = Instant::now();
-                    let outcome = c.request(&entry.method, &entry.target, Some(&entry.body));
+                    let outcome = c.request_with_headers(
+                        &entry.method,
+                        &entry.target,
+                        Some(&entry.body),
+                        &[],
+                    );
                     hists[path_of[idx]].record(sent.elapsed().as_micros() as u64);
                     match outcome {
-                        Ok((status, body)) => {
-                            client = Some(c);
+                        Ok((status, headers, body)) => {
+                            if !announces_close(&headers) {
+                                client = Some(c);
+                            }
                             if status == 503 {
                                 part.sheds += 1;
                                 continue;
@@ -403,6 +413,14 @@ mod tests {
             }],
         };
         let doc = report.to_json();
+        assert_eq!(
+            doc.to_json_string(),
+            "{\"requests\":10,\"matched\":9,\"mismatched\":0,\"hits\":5,\"misses\":4,\
+             \"sheds\":1,\"transport_errors\":0,\"wall_micros\":1000,\"rps\":10000.0,\
+             \"hit_rate\":0.5555555555555556,\"shed_rate\":0.1,\"mismatch_details\":[],\
+             \"endpoints\":[{\"endpoint\":\"evaluate\",\"requests\":10,\"p50_micros\":127,\
+             \"p90_micros\":255,\"p95_micros\":255,\"p99_micros\":511,\"max_micros\":400}]}"
+        );
         assert_eq!(doc.get("requests").and_then(Value::as_u64), Some(10));
         assert_eq!(doc.get("sheds").and_then(Value::as_u64), Some(1));
         let endpoints = doc.get("endpoints").and_then(Value::as_array).unwrap();

@@ -61,7 +61,7 @@ use raysearch_core::{stable_hash64_parts, SpanData, TraceRecorder};
 use serde_json::{Map, Value};
 
 use crate::api::{routing_key, SERVICE_METRICS};
-use crate::client::{FullResponse, HttpClient, SendError};
+use crate::client::{announces_close, FullResponse, HttpClient, SendError};
 use crate::http::{Request, Response};
 use crate::jobs::{job_node, parse_job_id};
 use crate::server::Handler;
@@ -402,11 +402,10 @@ impl Backend {
             },
             None => fresh(),
         };
-        let keep = outcome.as_ref().is_ok_and(|(_, (_, headers, _))| {
-            !headers
-                .iter()
-                .any(|(name, value)| name == "connection" && value.eq_ignore_ascii_case("close"))
-        }) && self.current_addr().as_deref() == Some(addr);
+        let keep = outcome
+            .as_ref()
+            .is_ok_and(|(_, (_, headers, _))| !announces_close(headers))
+            && self.current_addr().as_deref() == Some(addr);
         let mut pool = self.pool.lock();
         pool.in_flight -= 1;
         outcome.map(|(client, response)| {

@@ -95,6 +95,14 @@ impl Fleet {
 /// returns the two passes' fingerprints.
 fn soak(tape: &Tape, concurrency: usize) -> Vec<String> {
     let fleet = Fleet::start(None);
+    let mut tape_paths: Vec<&str> = tape
+        .entries
+        .iter()
+        .map(|entry| entry.target.split('?').next().unwrap_or_default())
+        .map(|path| path.trim_start_matches('/'))
+        .collect();
+    tape_paths.sort_unstable();
+    tape_paths.dedup();
     let mut fingerprints = Vec::new();
     for pass in 1..=2 {
         let report = replay(&fleet.addr(), tape, concurrency).expect("replay");
@@ -114,6 +122,24 @@ fn soak(tape: &Tape, concurrency: usize) -> Vec<String> {
         );
         if pass == 2 {
             assert!(report.hits > 0, "the warm pass must hit: {fingerprint}");
+        }
+        let mut endpoints: Vec<&str> = report
+            .endpoints
+            .iter()
+            .map(|row| row.endpoint.as_str())
+            .collect();
+        endpoints.sort_unstable();
+        assert_eq!(endpoints, tape_paths, "c{concurrency} pass {pass}");
+        let timed: u64 = report.endpoints.iter().map(|row| row.requests).sum();
+        assert_eq!(timed, RECORDED as u64, "c{concurrency} pass {pass}");
+        for row in &report.endpoints {
+            assert!(
+                row.p50_micros <= row.p90_micros
+                    && row.p90_micros <= row.p95_micros
+                    && row.p95_micros <= row.p99_micros
+                    && row.p99_micros <= row.max_micros,
+                "c{concurrency} pass {pass}: {row:?}"
+            );
         }
         fingerprints.push(fingerprint);
     }

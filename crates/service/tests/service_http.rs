@@ -374,6 +374,105 @@ fn concurrent_clients_get_consistent_answers() {
     handle.shutdown();
 }
 
+/// A cacheable mix with no repeats: small-fleet evaluations, `q = k + 1`
+/// large fleets at the deep horizon `1e12` (up to `k = 257`, past the
+/// old `k ≈ 139` linear-overflow wall), two verdicts and one campaign.
+fn cacheable_mix() -> Vec<(&'static str, String)> {
+    let evaluate = |m: u32, k: u32, f: u32, horizon: f64| {
+        (
+            "/evaluate",
+            format!("{{\"m\":{m},\"k\":{k},\"f\":{f},\"horizon\":{horizon}}}"),
+        )
+    };
+    let small = [
+        (2u32, 1u32, 0u32),
+        (2, 3, 1),
+        (2, 5, 2),
+        (3, 2, 0),
+        (3, 4, 1),
+        (3, 5, 1),
+        (4, 3, 0),
+        (5, 4, 0),
+    ];
+    let large = [
+        (2u32, 79u32, 39u32),
+        (2, 99, 49),
+        (2, 129, 64),
+        (2, 149, 74),
+        (2, 199, 99),
+        (2, 257, 128),
+        (3, 61, 20),
+        (4, 62, 15),
+    ];
+    let mut mix: Vec<(&'static str, String)> = small
+        .iter()
+        .map(|&(m, k, f)| evaluate(m, k, f, 1e6))
+        .chain(large.iter().map(|&(m, k, f)| evaluate(m, k, f, 1e12)))
+        .collect();
+    for (m, k, f) in [(2, 3, 1), (3, 2, 0)] {
+        mix.push((
+            "/verdict",
+            format!("{{\"m\":{m},\"k\":{k},\"f\":{f},\"horizon\":1e4,\"eps\":0.01}}"),
+        ));
+    }
+    mix.push(("/campaign", "{\"id\":\"e2\",\"max_k\":8}".to_owned()));
+    mix
+}
+
+#[test]
+fn cold_then_hot_mix_moves_the_cache_counters_exactly() {
+    use raysearch_service::tape::normalize_body;
+    use raysearch_service::telemetry::stat;
+
+    let (handle, addr) = spawn_server();
+    let counter = |name: &str| {
+        let (_, doc) = fetch_json(&addr, "GET", "/stats", None).unwrap();
+        stat(&doc, name).unwrap_or_else(|| panic!("/stats has no {name}"))
+    };
+    let mix = cacheable_mix();
+    let distinct = mix.len() as u64;
+
+    // cold: each request once over one connection, every one a miss
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let cold: Vec<String> = mix
+        .iter()
+        .map(|(path, body)| {
+            let (status, text) = client.request("POST", path, Some(body)).unwrap();
+            assert_eq!(status, 200, "{path} {body}: {text}");
+            assert!(text.starts_with("{\"cached\":false,"), "{path} {body}");
+            text
+        })
+        .collect();
+    drop(client);
+    assert_eq!(counter("cache.misses"), distinct);
+    let hits_after_cold = counter("cache.hits");
+
+    // hot: the whole mix again from each of two keep-alive clients
+    let clients = 2;
+    std::thread::scope(|scope| {
+        for worker in 0..clients {
+            let (addr, mix, cold) = (&addr, &mix, &cold);
+            scope.spawn(move || {
+                let mut client = HttpClient::connect(addr).unwrap();
+                for i in 0..mix.len() {
+                    let idx = (worker + i) % mix.len();
+                    let (path, body) = &mix[idx];
+                    let (status, text) = client.request("POST", path, Some(body)).unwrap();
+                    assert_eq!(status, 200, "{path} {body}: {text}");
+                    assert!(text.starts_with("{\"cached\":true,"), "{path} {body}");
+                    assert_eq!(normalize_body(&text), cold[idx], "{path} {body}");
+                }
+            });
+        }
+    });
+    assert_eq!(
+        counter("cache.hits"),
+        hits_after_cold + (clients * mix.len()) as u64
+    );
+    assert_eq!(counter("cache.misses"), distinct);
+    handle.shutdown();
+}
+
 #[test]
 fn post_without_content_length_gets_a_clean_411() {
     use std::io::{Read, Write};

@@ -20,7 +20,7 @@
 //! | [`core`] | `raysearch-core` | problems, exact evaluator, tightness verdicts, sweeps, campaign engine |
 //! | [`mc`] | `raysearch-mc` | deterministic Monte-Carlo engine: random faults/targets, average-case ratios |
 //! | [`bench`](mod@bench) | `raysearch-bench` | campaign-based experiments E1–E12, `tablegen` binary |
-//! | [`service`] | `raysearch-service` | `raysearchd`: caching evaluation server, HTTP layer, load harness |
+//! | [`service`] | `raysearch-service` | `raysearchd`: caching evaluation server, HTTP layer, router, replay harness |
 //!
 //! # Quickstart
 //!
