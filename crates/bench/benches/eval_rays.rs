@@ -1,9 +1,11 @@
 //! Benchmarks for the exact evaluator (E1/E4/E5 backbone): scaling in
 //! the number of rays, the fleet and the horizon. The line rows are the
-//! `m = 2` case: zig-zag itineraries compiled as two-ray tours.
+//! `m = 2` case: zig-zag itineraries compiled as two-ray tours. The
+//! `compile` rows time the step before: compiling E12's large optimal
+//! fleets, pieces and sweep plans, with no cache.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use raysearch_core::{CompiledFleet, RayEvaluator};
+use raysearch_core::{optimal_fleet, CompiledFleet, NoCache, RayEvaluator};
 use raysearch_sim::LineItinerary;
 use raysearch_strategies::{CyclicExponential, LineStrategy, RayStrategy};
 
@@ -85,6 +87,18 @@ fn bench_line_by_horizon(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_compile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("eval_rays/compile");
+    for &k in &[512u32, 4096] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("k{k}_f{}", k - 1)),
+            &k,
+            |b, &k| b.iter(|| optimal_fleet(&NoCache, 2, black_box(k), k - 1, 1e12).unwrap()),
+        );
+    }
+    group.finish();
+}
+
 fn bench_line_detection_queries(c: &mut Criterion) {
     let fleet = line_fleet(5, 2, 1e5);
     let evaluator = RayEvaluator::new(2, 2, 1.0, 1e4).unwrap();
@@ -108,6 +122,7 @@ criterion_group!(
     bench_by_faults,
     bench_line_by_fleet,
     bench_line_by_horizon,
-    bench_line_detection_queries
+    bench_line_detection_queries,
+    bench_compile
 );
 criterion_main!(benches);

@@ -114,6 +114,9 @@ pub(crate) struct Transition {
 /// where the one before ends. So the piece boundaries in any `(lo, hi)`
 /// with `lo ≥ 0` are exactly the distinct finite right ends there, and
 /// crossing a right end swaps one constant for the next.
+///
+/// Its two sorts take the pieces in [`column_order`], which is already
+/// sorted on a cyclic exponential fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SweepPlan {
     /// The ray's distinct constants in `total_cmp` order, deduplicated
@@ -127,15 +130,32 @@ pub(crate) struct SweepPlan {
 
 impl SweepPlan {
     /// The plan of one ray's `arena`, whose robot runs are `spans`.
-    fn new(arena: &[FirstVisitPiece], spans: impl Iterator<Item = (u32, u32)>) -> SweepPlan {
+    fn new(
+        arena: &[FirstVisitPiece],
+        spans: impl Iterator<Item = (u32, u32)> + Clone,
+    ) -> SweepPlan {
+        // one walk over the arena lists each piece's constant as a sort
+        // key, and each finite right end with the arena indices of the
+        // pieces it swaps, which become ranks once the constants are
+        // sorted. Constants are finite and non-negative (twice a sum of
+        // turns), where the bit pattern orders like the value
+        let mut order: Vec<(u64, u32)> = Vec::with_capacity(arena.len());
+        let mut transitions = Vec::with_capacity(arena.len());
+        column_order(spans.clone(), |i, last| {
+            let piece = &arena[i as usize];
+            order.push((piece.c.to_bits(), i));
+            // a straddling `hi = ∞` piece never leaves
+            if piece.hi.is_finite() {
+                let enter = if last { PLAN_ENDS } else { i + 1 };
+                transitions.push(Transition {
+                    at: piece.hi,
+                    leave: i,
+                    enter,
+                });
+            }
+        });
         // rank every piece's constant: sorting (key, index) pairs puts
-        // equal constants side by side, and the key is a bijection of
-        // the bit pattern
-        let mut order: Vec<(u64, u32)> = arena
-            .iter()
-            .zip(0u32..)
-            .map(|(p, i)| (total_order_key(p.c), i))
-            .collect();
+        // equal constants side by side
         order.sort_unstable();
         let mut ranks = vec![0u32; arena.len()];
         let mut constants = Vec::new();
@@ -143,26 +163,18 @@ impl SweepPlan {
         for &(key, i) in &order {
             if last_key != Some(key) {
                 last_key = Some(key);
-                constants.push(arena[i as usize].c);
+                constants.push(f64::from_bits(key));
             }
             ranks[i as usize] = constants.len() as u32 - 1;
         }
-        let mut first = Vec::new();
-        let mut transitions = Vec::with_capacity(arena.len());
-        for (start, end) in spans.map(|(a, b)| (a as usize, b as usize)) {
-            if start == end {
-                continue;
-            }
-            first.push(ranks[start]);
-            for j in start..end {
-                // a straddling `hi = ∞` piece never leaves
-                if arena[j].hi.is_finite() {
-                    transitions.push(Transition {
-                        at: arena[j].hi,
-                        leave: ranks[j],
-                        enter: if j + 1 < end { ranks[j + 1] } else { PLAN_ENDS },
-                    });
-                }
+        let first = spans
+            .filter(|&(start, end)| start < end)
+            .map(|(start, _)| ranks[start as usize])
+            .collect();
+        for t in &mut transitions {
+            t.leave = ranks[t.leave as usize];
+            if t.enter != PLAN_ENDS {
+                t.enter = ranks[t.enter as usize];
             }
         }
         // right ends are positive and finite, where the bit pattern
@@ -176,13 +188,25 @@ impl SweepPlan {
     }
 }
 
-/// `x`'s bit pattern, mapped so unsigned order is [`f64::total_cmp`]'s.
-fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
+/// Visits a ray's pieces, given its robot runs as `(start, end)` spans,
+/// in column order: every run's first piece, runs in order, then every
+/// run's second, and so on, each as its arena index and whether it ends
+/// its run. Spent runs drop out, so ragged runs cost nothing extra.
+///
+/// On a [`CyclicExponential`] fleet this is the plan order. Every robot
+/// makes the same excursions `n` to a ray, so robot `r`'s `j`-th piece
+/// there ends at `α^(k·n_j + m(r+1))`: column `j`'s right ends have
+/// exponents in `[k·n_j + m, k·n_j + km]`, below column `j + 1`'s. The
+/// constants, `∝ α^(m(r+1))·(α^(k(n_j − n0)) − 1)`, ascend in the same
+/// blocks.
+fn column_order(spans: impl Iterator<Item = (u32, u32)>, mut visit: impl FnMut(u32, bool)) {
+    let mut live: Vec<(u32, u32)> = spans.filter(|&(start, end)| start < end).collect();
+    while !live.is_empty() {
+        live.retain_mut(|(next, end)| {
+            visit(*next, *next + 1 == *end);
+            *next += 1;
+            next < end
+        });
     }
 }
 
@@ -342,7 +366,7 @@ impl CompiledFleet {
 /// let s = CyclicExponential::optimal(2, 3, 1)?;
 /// let mut b = FleetBuilder::new(2, 100.0)?;
 /// for r in 0..3 {
-///     b.push_log_tour(&s.log_tour_prefix(RobotId(r), 100.0)?)?;
+///     b.push_log_tour(&s.log_tour(RobotId(r), 100.0)?)?;
 /// }
 /// let fleet = b.finish();
 /// assert_eq!(fleet.num_robots(), 3);
@@ -422,8 +446,9 @@ impl FleetBuilder {
     /// constant is twice the turning mass spent before that leg. Only
     /// pieces with `lo < cap` are kept — the only ones a query in
     /// `(0, cap]` can consult — and the pass ends once every ray has
-    /// reached the cap. It is a single pass because a per-ray scan would
-    /// walk the `O(m·f)`-excursion tour `m` times.
+    /// reached the cap, so an endless stream must reach the cap on every
+    /// ray. It is a single pass because a per-ray scan would walk the
+    /// `O(m·f)`-excursion tour `m` times.
     fn push_robot(
         &mut self,
         num_rays: usize,
@@ -506,10 +531,11 @@ impl FleetBuilder {
 /// the same instance and horizon all fetch the same artifact.
 ///
 /// * Searchable regime `f < k < m(f+1)`: the [`CyclicExponential`]
-///   fleet, keyed `Cyclic { m, k, α, cap: horizon }` and compiled from
-///   bounded log-domain tour prefixes, so no turn point is ever
-///   materialized in linear space and fleets of thousands of robots
-///   compile at deep horizons.
+///   fleet, keyed `Cyclic { m, k, α, cap: horizon }`. Each robot's
+///   [`turns`](CyclicExponential::turns) stream into the piece compiler
+///   until every ray reaches the cap, so no tour is built and fleets of
+///   thousands of robots compile at deep horizons; the sweep plans'
+///   sorts then see sorted input.
 /// * Trivial regime `k ≥ m(f+1)`: the saturating [`ZonePartition`],
 ///   keyed `Zone { m, k, cap: 4·horizon }`; its tours depend only on
 ///   `(m, k, cap)`, so every `f` shares the artifact.
@@ -550,11 +576,12 @@ pub fn optimal_fleet<C: CompileCache>(
         cap: CanonF64::new(horizon)?,
     };
     cache.get_or_compile(key, &mut || {
-        // one bounded tour prefix at a time: peak memory stays
-        // independent of the post-horizon padding tail
+        // each robot's turns stream straight into the piece compiler,
+        // which stops them once every ray has reached the cap
         let mut builder = FleetBuilder::new(m as usize, horizon)?;
         for r in 0..k as usize {
-            builder.push_log_tour(&strategy.log_tour_prefix(RobotId(r), horizon)?)?;
+            let turns = strategy.turns(RobotId(r))?;
+            builder.push_robot(m as usize, turns.map(|(ray, turn)| (ray.index(), turn)))?;
         }
         Ok(builder.finish())
     })
@@ -765,13 +792,7 @@ mod tests {
     use raysearch_strategies::{DoublingCowPath, LineStrategy, ReplicatedDoubling};
 
     fn cyclic_fleet(cap: f64) -> CompiledFleet {
-        let s = CyclicExponential::optimal(3, 4, 1).unwrap();
-        let mut b = FleetBuilder::new(3, cap).unwrap();
-        for r in 0..4 {
-            b.push_log_tour(&s.log_tour_prefix(RobotId(r), cap).unwrap())
-                .unwrap();
-        }
-        b.finish()
+        Arc::unwrap_or_clone(optimal_fleet(&NoCache, 3, 4, 1, cap).unwrap())
     }
 
     #[test]
@@ -866,7 +887,7 @@ mod tests {
         let s = CyclicExponential::optimal(2, 3, 1).unwrap();
         let mut b = FleetBuilder::new(2, 100.0).unwrap();
         for r in 0..3 {
-            b.push_log_tour(&s.log_tour_prefix(RobotId(r), 100.0).unwrap())
+            b.push_log_tour(&s.log_tour(RobotId(r), 100.0).unwrap())
                 .unwrap();
         }
         b.finish().first_visit(0, 2, 5.0);
@@ -900,28 +921,111 @@ mod tests {
         }
     }
 
+    /// A two-ray fleet whose column order is out of plan order: robot 1
+    /// spends 500 on ray 1 first, so on ray 0 its constants top robot
+    /// 0's column by column while its right ends fall between robot 0's.
+    fn out_of_column_order_fleet() -> CompiledFleet {
+        let tour = |turns: &[(usize, f64)]| {
+            let excursions = turns
+                .iter()
+                .map(|&(ray, turn)| Excursion::new(RayId::new(ray, 2).unwrap(), turn).unwrap())
+                .collect();
+            TourItinerary::new(2, excursions).unwrap()
+        };
+        let tours = [
+            tour(&[(0, 1.0), (0, 100.0), (0, 1000.0), (1, 5.0)]),
+            tour(&[(1, 500.0), (0, 50.0), (0, 60.0), (0, 70.0)]),
+        ];
+        CompiledFleet::from_tours(2, 1000.0, tours).unwrap()
+    }
+
+    /// Whether `ray`'s pieces in column order are in plan order: their
+    /// constants never decrease and their finite right ends strictly
+    /// increase.
+    fn column_order_is_sorted(fleet: &CompiledFleet, ray: usize) -> bool {
+        let spans = fleet.spans.iter().skip(ray).step_by(fleet.num_rays());
+        let mut pieces: Vec<&FirstVisitPiece> = Vec::new();
+        column_order(spans.copied(), |i, _| {
+            pieces.push(&fleet.rays[ray][i as usize])
+        });
+        let ends: Vec<f64> = pieces
+            .iter()
+            .map(|p| p.hi)
+            .filter(|hi| hi.is_finite())
+            .collect();
+        pieces
+            .windows(2)
+            .all(|w| w[0].c.to_bits() <= w[1].c.to_bits())
+            && ends.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// Asserts every ray's sweep plan equals one sorted from scratch:
+    /// the constants of all pieces sorted and deduplicated by bit
+    /// pattern, each robot's first rank, and every finite right end with
+    /// the ranks it swaps, taken robot by robot and sorted. Tied right
+    /// ends may come in any order (the evaluator applies all of them
+    /// before its next probe), so transitions compare ordered by
+    /// `(at, leave, enter)`.
+    fn assert_plans_sort_from_scratch(fleet: &CompiledFleet, at: &str) {
+        for ray in 0..fleet.num_rays() {
+            let at = format!("{at}: ray {ray}");
+            let mut constants: Vec<f64> = fleet.rays[ray].iter().map(|p| p.c).collect();
+            constants.sort_by(f64::total_cmp);
+            constants.dedup_by_key(|c| c.to_bits());
+            let rank = |c: f64| constants.partition_point(|d| d.total_cmp(&c).is_lt()) as u32;
+            let runs: Vec<&[FirstVisitPiece]> = (0..fleet.num_robots())
+                .map(|robot| fleet.pieces(robot, ray))
+                .filter(|run| !run.is_empty())
+                .collect();
+            let mut transitions = Vec::new();
+            for run in &runs {
+                for (j, p) in run.iter().enumerate().filter(|(_, p)| p.hi.is_finite()) {
+                    let enter = run.get(j + 1).map_or(PLAN_ENDS, |next| rank(next.c));
+                    transitions.push((p.hi.to_bits(), rank(p.c), enter));
+                }
+            }
+            transitions.sort_unstable();
+            let plan = fleet.plan(ray);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plan.constants), bits(&constants), "{at}: constants");
+            let first: Vec<u32> = runs.iter().map(|run| rank(run[0].c)).collect();
+            assert_eq!(plan.first, first, "{at}: first ranks");
+            assert!(
+                plan.transitions.windows(2).all(|w| w[0].at <= w[1].at),
+                "{at}: transitions out of order"
+            );
+            let mut got: Vec<(u64, u32, u32)> = (plan.transitions.iter())
+                .map(|t| (t.at.to_bits(), t.leave, t.enter))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, transitions, "{at}: transitions");
+        }
+    }
+
     #[test]
     fn every_robot_run_tiles_from_zero() {
         let s = CyclicExponential::optimal(3, 5, 1).unwrap();
         let tours = |horizon| s.fleet_tours(horizon).unwrap();
-        assert_tiles(
-            &CompiledFleet::from_tours(3, 1e4, tours(4e4)).unwrap(),
-            "push_tour",
-        );
-        assert_tiles(
-            &CompiledFleet::from_tours(3, 1e4, tours(300.0)).unwrap(),
-            "short tours",
-        );
-        assert_tiles(&cyclic_fleet(1e4), "push_log_tour");
-        assert_tiles(
-            &optimal_fleet(&NoCache, 2, 149, 74, 1e6).unwrap(),
-            "k = 149",
-        );
-        assert_tiles(
-            &optimal_fleet(&NoCache, 3, 7, 1, 1e4).unwrap(),
-            "zone partition",
-        );
-        assert_tiles(&one_sided_fleet(100.0), "one-sided");
+        let optimal =
+            |m, k, f, cap| Arc::unwrap_or_clone(optimal_fleet(&NoCache, m, k, f, cap).unwrap());
+        let mut fleets = vec![
+            (
+                "push_tour".to_owned(),
+                CompiledFleet::from_tours(3, 1e4, tours(4e4)).unwrap(),
+            ),
+            (
+                "short tours".to_owned(),
+                CompiledFleet::from_tours(3, 1e4, tours(300.0)).unwrap(),
+            ),
+            ("streamed turns".to_owned(), cyclic_fleet(1e4)),
+            ("k = 149".to_owned(), optimal(2, 149, 74, 1e6)),
+            ("zone partition".to_owned(), optimal(3, 7, 1, 1e4)),
+            ("one-sided".to_owned(), one_sided_fleet(100.0)),
+            (
+                "out of column order".to_owned(),
+                out_of_column_order_fleet(),
+            ),
+        ];
         let cyclic_line = CyclicExponential::optimal(2, 5, 2)
             .unwrap()
             .to_line()
@@ -937,7 +1041,39 @@ mod tests {
         for (i, line) in lines.iter().enumerate() {
             let two_ray = line.iter().map(LineItinerary::to_two_ray_tour);
             let fleet = CompiledFleet::from_tours(2, 1e4, two_ray).unwrap();
-            assert_tiles(&fleet, &format!("line fleet {i}"));
+            fleets.push((format!("line fleet {i}"), fleet));
+        }
+        for (at, fleet) in &fleets {
+            assert_tiles(fleet, at);
+            assert_plans_sort_from_scratch(fleet, at);
+        }
+        // without this fleet no sort above would have to reorder anything
+        assert!(!column_order_is_sorted(&out_of_column_order_fleet(), 0));
+    }
+
+    /// The speed-up's guard: on every cyclic exponential fleet the sweep
+    /// plans' two sorts see sorted input. Outputs would stay exact in any
+    /// emission order, so only this test notices a return to robot by
+    /// robot emission.
+    #[test]
+    fn column_order_is_the_plan_order_of_every_cyclic_fleet() {
+        for m in 2u32..=5 {
+            for k in [1u32, 3, 7, 31, 100, 257, 320] {
+                // the searchable regime's f, from k/m to k − 1
+                let mut faults = vec![k / m, (k / m + k - 1) / 2, k - 1];
+                faults.dedup();
+                for f in faults {
+                    for cap in [10.0, 1e4, 1e6, 1e12] {
+                        let fleet = optimal_fleet(&NoCache, m, k, f, cap).unwrap();
+                        for ray in 0..m as usize {
+                            assert!(
+                                column_order_is_sorted(&fleet, ray),
+                                "(m={m},k={k},f={f}) cap {cap:e}, ray {ray}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1019,7 +1155,7 @@ mod tests {
         let err = (0..149)
             .find_map(|r| {
                 let before = b.fleet.clone();
-                let result = b.push_log_tour(&s.log_tour_prefix(RobotId(r), cap).unwrap());
+                let result = b.push_log_tour(&s.log_tour(RobotId(r), cap).unwrap());
                 pushed += usize::from(result.is_ok());
                 result.err().map(|e| (e, before))
             })

@@ -363,7 +363,7 @@ impl RayEvaluator {
     /// let strat = CyclicExponential::optimal(2, 199, 99)?;
     /// let mut builder = FleetBuilder::new(2, 1e5)?;
     /// for r in 0..199 {
-    ///     builder.push_log_tour(&strat.log_tour_prefix(RobotId(r), 1e5)?)?;
+    ///     builder.push_log_tour(&strat.log_tour(RobotId(r), 1e5)?)?;
     /// }
     /// let report = RayEvaluator::new(2, 99, 1.0, 1e5)?.evaluate(&builder.finish())?;
     /// let theory = raysearch_bounds::a_rays(2, 199, 99)?;
@@ -659,14 +659,14 @@ mod tests {
     ];
 
     /// The optimal `(m, k, f)` fleet's artifact by every route that
-    /// exists at `horizon`: bounded log-domain tour prefixes first, then
+    /// exists at `horizon`: log-domain tours first, then
     /// (unless linear tours overflow) linear tours and, on the line,
     /// line itineraries read as two-ray tours.
     fn artifact_routes(m: u32, k: u32, f: u32, horizon: f64) -> Vec<(&'static str, CompiledFleet)> {
         let strat = CyclicExponential::optimal(m, k, f).unwrap();
         let mut log = FleetBuilder::new(m as usize, horizon).unwrap();
         for r in 0..k as usize {
-            log.push_log_tour(&strat.log_tour_prefix(RobotId(r), horizon).unwrap())
+            log.push_log_tour(&strat.log_tour(RobotId(r), horizon).unwrap())
                 .unwrap();
         }
         let mut fleets = vec![("push_log_tour", log.finish())];
@@ -692,8 +692,8 @@ mod tests {
     }
 
     /// Linear tours and line itineraries read as two-ray tours compile
-    /// to the same pieces as bounded log-domain tour prefixes, and
-    /// evaluate bit-identically to them.
+    /// to the same pieces as log-domain tours, and evaluate
+    /// bit-identically to them.
     #[test]
     fn evaluate_log_is_bit_identical_to_evaluate() {
         let horizon = 1e4;
@@ -709,9 +709,10 @@ mod tests {
         }
     }
 
-    /// The memoized optimal fleet, cold and warm, evaluates
-    /// bit-identically to a fleet streamed from log-domain tour
-    /// prefixes, including at k = 149 where no linear fleet exists.
+    /// The memoized optimal fleet, streamed from each robot's turns, is
+    /// the fleet compiled from log-domain tours and, cold and warm,
+    /// evaluates bit-identically to it, including at k = 149 where no
+    /// linear fleet exists.
     #[test]
     fn evaluate_compiled_is_bit_identical_to_evaluate_log() {
         let horizon = 1e4;
@@ -722,6 +723,11 @@ mod tests {
                 .unwrap()
                 .evaluate(&fleets[0].1)
                 .unwrap();
+            let streamed = optimal_fleet(&NoCache, m, k, f, horizon).unwrap();
+            assert_eq!(
+                *streamed, fleets[0].1,
+                "({m},{k},{f}): pieces or plans differ"
+            );
             for pass in ["cold", "warm"] {
                 let r = evaluate_optimal_cached(&memo, m, k, f, horizon).unwrap();
                 assert_same_report(&format!("({m},{k},{f}) {pass}"), &r, &reference);
@@ -735,7 +741,7 @@ mod tests {
         let mut builder = FleetBuilder::new(3, 100.0).unwrap();
         for r in 0..2usize {
             builder
-                .push_log_tour(&strat.log_tour_prefix(RobotId(r), 100.0).unwrap())
+                .push_log_tour(&strat.log_tour(RobotId(r), 100.0).unwrap())
                 .unwrap();
         }
         let fleet = builder.finish();

@@ -109,21 +109,34 @@ impl CyclicExponential {
         self.alpha.powi(self.k as i32)
     }
 
-    /// The ray explored on excursion index `n` (which may be negative for
-    /// the warm-up excursions): `n mod m`.
-    fn ray_of(&self, n: i64) -> RayId {
-        RayId::new_unvalidated(n.rem_euclid(i64::from(self.m)) as usize)
-    }
-
-    /// Natural log of the turning distance of robot `r` (0-based) on
-    /// excursion `n`: `(k·n + m·(r+1)) · ln α`. This is the primary
-    /// representation — the exponent grows linearly in `k·n`, so the
-    /// linear-space magnitude `α^(k·n + m·(r+1))` overflows `f64` long
-    /// before the tour contract's post-horizon padding is satisfied on
-    /// large fleets (k ≳ 139 at deep horizons).
-    fn turn_ln_of(&self, robot: usize, n: i64) -> f64 {
-        let expo = f64::from(self.k) * n as f64 + f64::from(self.m) * (robot as f64 + 1.0);
-        expo * self.alpha.ln()
+    /// Robot `r`'s (0-based) excursions from the paper's first, `n0 =
+    /// 1 − 2m`, on, without end: excursion `n` explores ray `n mod m`
+    /// and turns at natural log `(k·n + m·(r+1)) · ln α`, with `ln α`
+    /// computed once. Logs are the primary representation — the exponent
+    /// grows linearly in `k·n`, so the linear-space magnitude
+    /// `α^(k·n + m·(r+1))` overflows `f64` long before the tour
+    /// contract's post-horizon padding is satisfied on large fleets
+    /// (k ≳ 139 at deep horizons). Rejects an out-of-range robot.
+    fn turn_lns(
+        &self,
+        robot: RobotId,
+    ) -> Result<impl Iterator<Item = (RayId, f64)>, StrategyError> {
+        let r = robot.index();
+        if r >= self.k as usize {
+            return Err(StrategyError::invalid(format!(
+                "robot index {r} out of range for k = {}",
+                self.k
+            )));
+        }
+        let rays = i64::from(self.m);
+        let (k, offset) = (f64::from(self.k), f64::from(self.m) * (r as f64 + 1.0));
+        let ln_alpha = self.alpha.ln();
+        // the paper starts at j = -2, i.e. excursion n0 = 1 - 2m, which
+        // guarantees every robot has swept every ray before distance 1
+        Ok((1 - 2 * rays..).map(move |n| {
+            let ray = RayId::new_unvalidated(n.rem_euclid(rays) as usize);
+            (ray, (k * n as f64 + offset) * ln_alpha)
+        }))
     }
 
     /// The finite log-domain tour of one robot, valid for targets up to
@@ -160,26 +173,15 @@ impl CyclicExponential {
         horizon: f64,
     ) -> Result<LogTourItinerary, StrategyError> {
         StrategyError::check_horizon(horizon)?;
-        if robot.index() >= self.k as usize {
-            return Err(StrategyError::invalid(format!(
-                "robot index {} out of range for k = {}",
-                robot.index(),
-                self.k
-            )));
-        }
-        // The paper starts at j = -2, i.e. excursion n0 = 1 - 2m, which
-        // guarantees every robot has swept every ray before distance 1.
-        let n0 = 1 - 2 * i64::from(self.m);
+        let mut lns = self.turn_lns(robot)?;
         let mut excursions = Vec::new();
         // Per-ray count of excursions whose turn already exceeds the
         // horizon; we stop once every ray has f+2 of them, which makes all
         // (f+1)-st distinct-robot visit times below the horizon final.
         let needed = self.f as usize + 2;
         let mut beyond = vec![0usize; self.m as usize];
-        let mut n = n0;
         while beyond.iter().any(|&c| c < needed) {
-            let ray = self.ray_of(n);
-            let ln_turn = self.turn_ln_of(robot.index(), n);
+            let (ray, ln_turn) = lns.next().expect("the excursion sequence never ends");
             excursions.push(
                 LogExcursion::new(ray, LogScaled::from_ln(ln_turn))
                     .expect("finite exponent times finite ln(alpha) is a valid log turn"),
@@ -190,64 +192,31 @@ impl CyclicExponential {
             if ln_turn.exp() >= horizon {
                 beyond[ray.index()] += 1;
             }
-            n += 1;
         }
         Ok(LogTourItinerary::new(self.m as usize, excursions)?)
     }
 
-    /// The shortest prefix of [`CyclicExponential::log_tour`] that a
-    /// first-visit compilation capped at `cap` can consume: generation
-    /// stops as soon as *every* ray has one excursion turning at or past
-    /// `cap`.
+    /// One robot's excursions as `(ray, turn)` pairs, streamed: the
+    /// turns of [`CyclicExponential::log_tour`] extracted to linear
+    /// `f64`, bit for bit [`LogScaled::to_f64`]'s (so saturating to `∞`
+    /// past `f64::MAX`), at one `exp` per excursion.
     ///
-    /// The excursion sequence depends only on the excursion index, so
-    /// this is an elementwise-identical prefix of `log_tour(h)` for any
-    /// `h ≥ cap` — and the piece compiler
-    /// (`raysearch_core::FleetBuilder::push_log_tour` at the same `cap`)
-    /// stops within exactly this prefix: it closes a ray at that
-    /// ray's first excursion reaching `cap`, and later excursions only
-    /// contribute turning mass to pieces that are never created. For
-    /// large fleets the prefix is tens of excursions where the padded
-    /// full tour is thousands, which is what makes fleet compilation
-    /// cheap enough to be a cacheable artifact.
+    /// The sequence never ends: it knows no horizon, and its consumer
+    /// decides where to stop. The fleet compiler
+    /// (`raysearch_core::compiled::optimal_fleet`) feeds it to a builder
+    /// that stops once every ray has reached the cap, so no padding tail
+    /// and no per-robot tour is ever built.
     ///
     /// # Errors
     ///
-    /// Returns [`StrategyError::InvalidHorizon`] for a non-finite or
-    /// sub-unit `cap` and [`StrategyError::InvalidParameters`] for an
-    /// out-of-range robot index.
-    pub fn log_tour_prefix(
+    /// Returns [`StrategyError::InvalidParameters`] for an out-of-range
+    /// robot index.
+    pub fn turns(
         &self,
         robot: RobotId,
-        cap: f64,
-    ) -> Result<LogTourItinerary, StrategyError> {
-        StrategyError::check_horizon(cap)?;
-        if robot.index() >= self.k as usize {
-            return Err(StrategyError::invalid(format!(
-                "robot index {} out of range for k = {}",
-                robot.index(),
-                self.k
-            )));
-        }
-        let n0 = 1 - 2 * i64::from(self.m);
-        let mut excursions = Vec::new();
-        let mut beyond = vec![false; self.m as usize];
-        let mut n = n0;
-        while beyond.iter().any(|&b| !b) {
-            let ray = self.ray_of(n);
-            let ln_turn = self.turn_ln_of(robot.index(), n);
-            excursions.push(
-                LogExcursion::new(ray, LogScaled::from_ln(ln_turn))
-                    .expect("finite exponent times finite ln(alpha) is a valid log turn"),
-            );
-            // same threshold extraction the compiler applies: the
-            // excursion's linear turn, saturating past f64::MAX
-            if ln_turn.exp() >= cap {
-                beyond[ray.index()] = true;
-            }
-            n += 1;
-        }
-        Ok(LogTourItinerary::new(self.m as usize, excursions)?)
+    ) -> Result<impl Iterator<Item = (RayId, f64)>, StrategyError> {
+        let lns = self.turn_lns(robot)?;
+        Ok(lns.map(|(ray, ln_turn)| (ray, LogScaled::from_ln(ln_turn).to_f64())))
     }
 
     /// Log-domain tours for the whole fleet.
@@ -515,41 +484,30 @@ mod tests {
     }
 
     #[test]
-    fn log_tour_prefix_is_an_elementwise_prefix_of_the_full_tour() {
+    fn turns_stream_the_full_log_tour_bit_for_bit() {
         for (m, k, f) in [(2u32, 3u32, 1u32), (3, 4, 1), (2, 256, 128)] {
             let s = CyclicExponential::optimal(m, k, f).unwrap();
             for r in [0usize, k as usize - 1] {
-                let cap = 1e6;
-                let full = s.log_tour(RobotId(r), cap * 4.0).unwrap();
-                let prefix = s.log_tour_prefix(RobotId(r), cap).unwrap();
-                assert!(
-                    prefix.len() <= full.len(),
-                    "(m={m},k={k},f={f}) robot {r}: prefix longer than full tour"
-                );
-                for (a, b) in prefix.excursions().iter().zip(full.excursions()) {
-                    assert_eq!(a.ray, b.ray);
-                    assert_eq!(a.turn, b.turn);
+                let full = s.log_tour(RobotId(r), 4e6).unwrap();
+                let mut turns = s.turns(RobotId(r)).unwrap();
+                for (i, e) in full.excursions().iter().enumerate() {
+                    let (ray, turn) = turns.next().expect("turns never end");
+                    let at = format!("(m={m},k={k},f={f}) robot {r}, excursion {i}");
+                    assert_eq!(ray, e.ray, "{at}");
+                    assert_eq!(turn.to_bits(), e.turn.to_f64().to_bits(), "{at}");
                 }
-                // the prefix ends exactly when every ray has one
-                // excursion at or past the cap — no later, no earlier
-                for ray in 0..m as usize {
-                    let beyond = prefix
-                        .excursions()
-                        .iter()
-                        .filter(|e| e.ray.index() == ray && e.turn.to_f64() >= cap)
-                        .count();
-                    assert_eq!(beyond, 1, "ray {ray} not closed exactly once");
-                }
+                // past the padded tour the stream goes on cycling the
+                // rays, its turns growing or saturated at ∞
+                let (ray, turn) = turns.next().unwrap();
+                let last = full.excursions().last().unwrap();
+                assert_eq!(ray.index(), (last.ray.index() + 1) % m as usize);
+                assert!(turn >= last.turn.to_f64());
             }
         }
-    }
-
-    #[test]
-    fn log_tour_prefix_validates_like_log_tour() {
-        let s = CyclicExponential::optimal(2, 3, 1).unwrap();
-        assert!(s.log_tour_prefix(RobotId(3), 100.0).is_err());
-        assert!(s.log_tour_prefix(RobotId(0), 0.5).is_err());
-        assert!(s.log_tour_prefix(RobotId(0), f64::NAN).is_err());
+        assert!(CyclicExponential::optimal(2, 3, 1)
+            .unwrap()
+            .turns(RobotId(3))
+            .is_err());
     }
 
     #[test]
