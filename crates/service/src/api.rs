@@ -25,7 +25,10 @@
 //! (key + validated compute closure) and resolves through one shared
 //! execute path — the synchronous handlers inline, the job tier on a
 //! compute worker — so a job's `result` payload is byte-identical to
-//! the synchronous response for the same parameters.
+//! the synchronous response for the same parameters. The same `prepare`
+//! derives the router's [`routing_key`], and one envelope unwrap
+//! (`unwrap_job`) serves job admission and routing alike, so request
+//! canonicalisation is decided once, here, for both tiers.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -263,109 +266,39 @@ impl MemoKey {
 /// Derives the canonical routing key for one request — the string a
 /// consistent-hash router rendezvous-scores backends against.
 ///
-/// For memoizable endpoints this is the [`MemoKey`]'s canonical string
-/// with the same parameter canonicalization the backend's cache applies
-/// (defaults filled in, floats through [`CanonF64`], fault-model `p`
-/// normalized), so every spelling of the same logical request —
-/// query-string vs JSON body, `1e4` vs `10000` — routes to the same
-/// backend and meets the same memo entry there. Requests that do not
-/// parse into a memo key (unknown paths, malformed parameters) fall
-/// back to a raw `method:path?query:body` key: they still route
+/// The key is the [`MemoKey`] canonical string the backend itself would
+/// cache the request under: the endpoint comes from the path (whatever
+/// the method), a `POST /jobs` envelope is unwrapped by the same
+/// `unwrap_job` the job tier admits it with, and the parameters go
+/// through the endpoint's own `prepare`. So every spelling of the same
+/// logical request — query string vs JSON body, `1e4` vs `10000`, a job
+/// vs its synchronous twin — routes to the backend holding its memo
+/// entry, by construction. Requests `prepare` rejects (unknown paths,
+/// malformed or out-of-range parameters: the backend answers them with
+/// an error, never from the cache) fall back to a raw
+/// `raw:method:path?query:body` key: they still route
 /// *deterministically* (a replayed tape reproduces shard placement
 /// exactly), they just cannot share a shard with a well-formed spelling.
 pub fn routing_key(req: &Request) -> String {
-    match routing_memo_key(req) {
-        Some(key) => key.canonical_string(),
-        None => {
-            let mut raw = format!("raw:{}:{}", req.method, req.path);
-            for (i, (k, v)) in req.query.iter().enumerate() {
-                raw.push(if i == 0 { '?' } else { '&' });
-                raw.push_str(k);
-                raw.push('=');
-                raw.push_str(v);
-            }
-            raw.push(':');
-            raw.push_str(&String::from_utf8_lossy(&req.body));
-            raw
-        }
+    let endpoint = req.path.strip_prefix('/').unwrap_or_default();
+    let prepared = if endpoint == "jobs" {
+        unwrap_job(req).and_then(|job| prepare(&job.endpoint, &job.params))
+    } else {
+        RequestParams::from(req).and_then(|params| prepare(endpoint, &params))
+    };
+    if let Ok(prepared) = prepared {
+        return prepared.key.canonical_string();
     }
-}
-
-/// Parses `req` into the [`MemoKey`] its target endpoint would memoize
-/// under, applying the same defaults and canonicalization. `None` when
-/// the path is not a memoizable endpoint or the parameters do not parse
-/// — the router then routes on the raw fallback key.
-fn routing_memo_key(req: &Request) -> Option<MemoKey> {
-    let params = RequestParams::from(req).ok()?;
-    match req.path.as_str() {
-        "/closed_form" => {
-            if let Some(eta) = params.opt_f64("eta").ok()? {
-                return Some(MemoKey::Lambda {
-                    eta: CanonF64::new(eta).ok()?,
-                });
-            }
-            let (m, k, f) = params.instance().ok()?;
-            Some(MemoKey::ClosedForm { m, k, f })
-        }
-        "/evaluate" => {
-            let (m, k, f) = params.instance().ok()?;
-            let horizon = params.opt_f64("horizon").ok()?.unwrap_or(DEFAULT_HORIZON);
-            Some(MemoKey::Evaluate {
-                m,
-                k,
-                f,
-                horizon: CanonF64::new(horizon).ok()?,
-            })
-        }
-        "/verdict" => {
-            let (m, k, f) = params.instance().ok()?;
-            let horizon = params.opt_f64("horizon").ok()?.unwrap_or(DEFAULT_HORIZON);
-            let eps = params.opt_f64("eps").ok()?.unwrap_or(DEFAULT_EPS);
-            Some(MemoKey::Verdict {
-                m,
-                k,
-                f,
-                horizon: CanonF64::new(horizon).ok()?,
-                eps: CanonF64::new(eps).ok()?,
-            })
-        }
-        "/campaign" => {
-            let id = params.opt_str("id").ok()??;
-            let max_k = params
-                .opt_u32("max_k")
-                .ok()?
-                .unwrap_or(DEFAULT_CAMPAIGN_MAX_K)
-                .max(1);
-            Some(MemoKey::Campaign { id, max_k })
-        }
-        "/montecarlo" => {
-            let (m, k, f) = params.instance().ok()?;
-            let horizon = params.opt_f64("horizon").ok()?.unwrap_or(DEFAULT_HORIZON);
-            let samples = params
-                .opt_u64("samples")
-                .ok()?
-                .unwrap_or(DEFAULT_MC_SAMPLES);
-            let seed = params.opt_u64("seed").ok()?.unwrap_or(DEFAULT_MC_SEED);
-            let model = params
-                .opt_str("faults")
-                .ok()?
-                .unwrap_or_else(|| "uniform".to_owned());
-            let p = params.opt_f64("p").ok()?.unwrap_or(DEFAULT_MC_P);
-            let faults = FaultSampler::from_name(&model, f, p)?;
-            let p_effective = faults.probability().unwrap_or(0.0);
-            Some(MemoKey::MonteCarlo {
-                m,
-                k,
-                f,
-                horizon: CanonF64::new(horizon).ok()?,
-                samples,
-                seed,
-                faults: model,
-                p: CanonF64::new(p_effective).ok()?,
-            })
-        }
-        _ => None,
+    let mut raw = format!("raw:{}:{}", req.method, req.path);
+    for (i, (k, v)) in req.query.iter().enumerate() {
+        raw.push(if i == 0 { '?' } else { '&' });
+        raw.push_str(k);
+        raw.push('=');
+        raw.push_str(v);
     }
+    raw.push(':');
+    raw.push_str(&String::from_utf8_lossy(&req.body));
+    raw
 }
 
 /// An endpoint failure: an HTTP status plus a human-readable message.
@@ -816,9 +749,11 @@ impl ServiceState {
     }
 
     /// Executes one job spec on a compute worker: rebuild the endpoint
-    /// request from the stored body, re-enter the same parse / prepare /
-    /// execute path as the synchronous endpoint, and record the compute
-    /// spans under the `jobs` endpoint label.
+    /// request from the stored body (a `POST /{endpoint}` without the
+    /// envelope's query, so exactly the body-only parameters
+    /// `unwrap_job` validated at submission), re-enter the same parse /
+    /// prepare / execute path as the synchronous endpoint, and record
+    /// the compute spans under the `jobs` endpoint label.
     ///
     /// # Errors
     ///
@@ -826,7 +761,7 @@ impl ServiceState {
     /// with; the worker parks it in the job record as a `Failed`
     /// outcome.
     pub fn execute_job(&self, endpoint: &str, body: &str) -> Result<(String, bool), ApiError> {
-        let req = job_request(endpoint, body);
+        let req = Request::new("POST", &format!("/{endpoint}"), body);
         let prepared = prepare(endpoint, &RequestParams::from(&req)?)?;
         let mut spans = SpanSet::start();
         let out = self.execute(&mut spans, prepared);
@@ -883,38 +818,15 @@ impl ServiceState {
         }
     }
 
-    /// Parses and eagerly validates a job submission: the `endpoint`
-    /// tag must be job-eligible, the inner payload must survive the
-    /// exact parse/prepare path the compute worker will replay (so a
-    /// malformed payload 400s here instead of becoming a `Failed`
-    /// record later), and an `evaluate` job must clear the configured
-    /// cost threshold — cheap evaluations belong on the synchronous
-    /// endpoint.
+    /// Parses and eagerly validates a job submission: the envelope must
+    /// unwrap (see `unwrap_job`), the inner payload must survive the
+    /// `prepare` the compute worker will replay (so a malformed payload
+    /// 400s here instead of becoming a `Failed` record later), and an
+    /// `evaluate` job must clear the configured cost threshold — cheap
+    /// evaluations belong on the synchronous endpoint.
     fn parse_job_spec(&self, req: &Request) -> Result<JobSpec, ApiError> {
-        let body = req
-            .body_utf8()
-            .ok_or_else(|| ApiError::bad_request("request body is not UTF-8"))?
-            .to_owned();
-        if body.trim().is_empty() {
-            return Err(ApiError::bad_request(
-                "POST /jobs requires a JSON body with an \"endpoint\" tag",
-            ));
-        }
-        let params = RequestParams::from(req)?;
-        let endpoint = params
-            .opt_str("endpoint")?
-            .ok_or_else(|| ApiError::bad_request("missing parameter \"endpoint\""))?;
-        if !JOB_ENDPOINTS.contains(&endpoint.as_str()) {
-            return Err(ApiError::bad_request(format!(
-                "endpoint {endpoint:?} is not job-eligible (available: {})",
-                JOB_ENDPOINTS.join(", ")
-            )));
-        }
-        let client = params
-            .opt_str("client")?
-            .unwrap_or_else(|| "anon".to_owned());
-        let replay = job_request(&endpoint, &body);
-        let prepared = prepare(&endpoint, &RequestParams::from(&replay)?)?;
+        let job = unwrap_job(req)?;
+        let prepared = prepare(&job.endpoint, &job.params)?;
         let threshold = self.jobs.config().cost_threshold;
         if prepared.cost < threshold {
             return Err(ApiError::bad_request(format!(
@@ -924,10 +836,10 @@ impl ServiceState {
             )));
         }
         Ok(JobSpec {
-            class: CostClass::for_endpoint(&endpoint),
-            endpoint,
-            body,
-            client,
+            class: CostClass::for_endpoint(&job.endpoint),
+            endpoint: job.endpoint,
+            body: job.body.to_owned(),
+            client: job.client,
         })
     }
 
@@ -1034,8 +946,8 @@ struct Prepared {
 }
 
 /// Parses and validates one memoizable endpoint's parameters into a
-/// [`Prepared`] computation — the single seam the synchronous handlers
-/// and the job tier both go through.
+/// [`Prepared`] computation — the single seam the synchronous handlers,
+/// the job tier and the router's [`routing_key`] all go through.
 fn prepare(endpoint: &str, params: &RequestParams) -> Result<Prepared, ApiError> {
     match endpoint {
         "closed_form" => prepare_closed_form(params),
@@ -1295,19 +1207,55 @@ fn prepare_montecarlo(params: &RequestParams) -> Result<Prepared, ApiError> {
     })
 }
 
-/// The synthetic request a compute worker replays a job through: the
-/// stored submit body POSTed at the endpoint's own path. Submission
-/// validates through the identical reconstruction, so the worker can
-/// never see a request shape that submission did not.
-fn job_request(endpoint: &str, body: &str) -> Request {
-    Request {
-        method: "POST".to_owned(),
-        version: "HTTP/1.1".to_owned(),
-        path: format!("/{endpoint}"),
-        query: Vec::new(),
-        headers: Vec::new(),
-        body: body.as_bytes().to_vec(),
+/// A `POST /jobs` envelope, unwrapped once for both tiers.
+struct JobEnvelope<'a> {
+    /// The job-eligible target endpoint.
+    endpoint: String,
+    /// The admission label (`"anon"` when absent).
+    client: String,
+    /// The submit body, stored for the compute worker's replay.
+    body: &'a str,
+    /// The target endpoint's parameters, exactly as the compute
+    /// worker's replay will read them (see [`ServiceState::execute_job`]).
+    params: RequestParams<'a>,
+}
+
+/// Unwraps a `POST /jobs` envelope: the one place either tier reads the
+/// `endpoint` tag. The tag and the optional `client` label come from
+/// the body or the query, like any parameter; the target endpoint's own
+/// parameters come from the body alone, because that is all the job
+/// stores. The body is parsed once, for both.
+fn unwrap_job(req: &Request) -> Result<JobEnvelope<'_>, ApiError> {
+    let body = req
+        .body_utf8()
+        .ok_or_else(|| ApiError::bad_request("request body is not UTF-8"))?;
+    if body.trim().is_empty() {
+        return Err(ApiError::bad_request(
+            "POST /jobs requires a JSON body with an \"endpoint\" tag",
+        ));
     }
+    let envelope = RequestParams::from(req)?;
+    let endpoint = envelope
+        .opt_str("endpoint")?
+        .ok_or_else(|| ApiError::bad_request("missing parameter \"endpoint\""))?;
+    if !JOB_ENDPOINTS.contains(&endpoint.as_str()) {
+        return Err(ApiError::bad_request(format!(
+            "endpoint {endpoint:?} is not job-eligible (available: {})",
+            JOB_ENDPOINTS.join(", ")
+        )));
+    }
+    let client = envelope
+        .opt_str("client")?
+        .unwrap_or_else(|| "anon".to_owned());
+    Ok(JobEnvelope {
+        endpoint,
+        client,
+        body,
+        params: RequestParams {
+            body: envelope.body,
+            query: &[],
+        },
+    })
 }
 
 /// Extracts the job id from a `/jobs/{id}` path (404 on malformed ids
@@ -1397,7 +1345,7 @@ fn canon(value: f64, name: &str) -> Result<CanonF64, ApiError> {
 /// query-string parameters (GET), with the body taking precedence.
 struct RequestParams<'a> {
     body: Option<Value>,
-    req: &'a Request,
+    query: &'a [(String, String)],
 }
 
 impl<'a> RequestParams<'a> {
@@ -1415,7 +1363,10 @@ impl<'a> RequestParams<'a> {
             None if req.body.is_empty() => None,
             None => return Err(ApiError::bad_request("request body is not UTF-8")),
         };
-        Ok(RequestParams { body, req })
+        Ok(RequestParams {
+            body,
+            query: &req.query,
+        })
     }
 
     /// The `(m, k, f)` instance triple; `m` defaults to 2 (the line).
@@ -1431,14 +1382,11 @@ impl<'a> RequestParams<'a> {
     }
 
     fn raw(&self, name: &str) -> Option<Value> {
-        if let Some(body) = &self.body {
-            if let Some(v) = body.get(name) {
-                return Some(v.clone());
-            }
-        }
-        self.req
-            .query_param(name)
-            .map(|s| Value::String(s.to_owned()))
+        let in_body = self.body.as_ref().and_then(|body| body.get(name));
+        in_body.cloned().or_else(|| {
+            let (_, value) = self.query.iter().find(|(n, _)| n == name)?;
+            Some(Value::String(value.clone()))
+        })
     }
 
     fn opt_u32(&self, name: &str) -> Result<Option<u32>, ApiError> {

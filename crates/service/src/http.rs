@@ -84,6 +84,20 @@ pub struct Request {
 }
 
 impl Request {
+    /// An `HTTP/1.1` request without headers, its `target` (`path?query`)
+    /// split exactly as [`read_request`] splits a request line's.
+    pub fn new(method: &str, target: &str, body: impl Into<Vec<u8>>) -> Request {
+        let (path, query) = split_target(target);
+        Request {
+            method: method.to_owned(),
+            version: "HTTP/1.1".to_owned(),
+            path,
+            query,
+            headers: Vec::new(),
+            body: body.into(),
+        }
+    }
+
     /// The first header named `name` (lowercase), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers
@@ -145,16 +159,21 @@ fn read_line_limited(reader: &mut impl BufRead, limit: usize) -> Result<Option<S
         .map_err(|_| HttpError::Malformed("non-UTF-8 bytes in header section".to_owned()))
 }
 
-/// Splits a query string into `key=value` pairs (no percent-decoding).
-fn parse_query(query: &str) -> Vec<(String, String)> {
-    query
+/// Splits a request target into its path and `key=value` query pairs
+/// (no percent-decoding).
+fn split_target(target: &str) -> (String, Vec<(String, String)>) {
+    let Some((path, query)) = target.split_once('?') else {
+        return (target.to_owned(), Vec::new());
+    };
+    let query = query
         .split('&')
         .filter(|part| !part.is_empty())
         .map(|part| match part.split_once('=') {
             Some((k, v)) => (k.to_owned(), v.to_owned()),
             None => (part.to_owned(), String::new()),
         })
-        .collect()
+        .collect();
+    (path.to_owned(), query)
 }
 
 /// Reads and parses one request off `reader`.
@@ -192,10 +211,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
             "unsupported protocol {version:?}"
         )));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), parse_query(q)),
-        None => (target.to_owned(), Vec::new()),
-    };
+    let (path, query) = split_target(target);
 
     let mut headers = Vec::new();
     loop {
@@ -388,6 +404,22 @@ mod tests {
         assert_eq!(req.query_param("missing"), None);
         assert!(req.body.is_empty());
         assert!(!req.wants_close());
+    }
+
+    #[test]
+    fn new_splits_the_target_like_the_wire_parser() {
+        for target in [
+            "/closed_form?k=3&&f=1&flag",
+            "/jobs?endpoint=evaluate",
+            "/stats",
+            "/?",
+        ] {
+            let wire = parse(format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+            assert_eq!(Request::new("GET", target, ""), wire, "{target}");
+        }
+        let req = Request::new("POST", "/evaluate?m=2", "{\"k\":3}");
+        assert_eq!(req.query, vec![("m".to_owned(), "2".to_owned())]);
+        assert_eq!(req.body_utf8(), Some("{\"k\":3}"));
     }
 
     #[test]

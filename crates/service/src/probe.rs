@@ -543,32 +543,6 @@ impl Handler for ShedStub {
     }
 }
 
-/// A GET request against `target` as the router would parse it, for
-/// computing routing keys probe-side.
-fn probe_request(target: &str) -> Request {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (
-            p.to_owned(),
-            q.split('&')
-                .filter(|part| !part.is_empty())
-                .map(|part| match part.split_once('=') {
-                    Some((k, v)) => (k.to_owned(), v.to_owned()),
-                    None => (part.to_owned(), String::new()),
-                })
-                .collect(),
-        ),
-        None => (target.to_owned(), Vec::new()),
-    };
-    Request {
-        method: "GET".to_owned(),
-        version: "HTTP/1.1".to_owned(),
-        path,
-        query,
-        headers: Vec::new(),
-        body: Vec::new(),
-    }
-}
-
 /// The per-backend entry for `id` in a router `/stats` document.
 fn backend_entry<'a>(stats: &'a Value, id: &str) -> Result<&'a Value, String> {
     stats
@@ -649,7 +623,7 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
         (1u32..200)
             .map(|k| format!("/closed_form?k={k}&f=0"))
             .find(|target| {
-                let rank = rendezvous_rank(&ids, &routing_key(&probe_request(target)));
+                let rank = rendezvous_rank(&ids, &routing_key(&Request::new("GET", target, "")));
                 ids[rank[0]] == id
             })
             .ok_or_else(|| format!("no probe target ranks {id:?} first"))
@@ -942,24 +916,25 @@ fn router_checks(addr: &str, state: &RouterState) -> Result<Vec<CheckLine>, Stri
     pass("check 26 - trace index: stored ids listed, unknown id is a JSON 404".to_owned());
 
     // 27. job submit routes by the *inner* payload's canonical key —
-    // the probe predicts a campaign the real backend owns, submits it
-    // wrapped as a job, and the minted id routes the poll back to that
-    // backend (node 0) for a payload byte-identical to the routed
-    // synchronous answer
-    let campaign_body = (1u32..=12)
-        .map(|max_k| format!(r#"{{"id":"e3","max_k":{max_k}}}"#))
-        .find(|body| {
-            let mut inner = probe_request("/campaign");
-            inner.method = "POST".to_owned();
-            inner.body = body.clone().into_bytes();
-            let rank = rendezvous_rank(&ids, &routing_key(&inner));
+    // the probe ranks the envelope itself by the router's own key,
+    // finds a campaign the real backend owns, submits it as a job, and
+    // the minted id routes the poll back to that backend (node 0) for
+    // a payload byte-identical to the routed synchronous answer
+    let (campaign_body, envelope) = (1u32..=12)
+        .map(|max_k| {
+            (
+                format!(r#"{{"id":"e3","max_k":{max_k}}}"#),
+                format!(r#"{{"endpoint":"campaign","id":"e3","max_k":{max_k}}}"#),
+            )
+        })
+        .find(|(_, envelope)| {
+            let rank = rendezvous_rank(
+                &ids,
+                &routing_key(&Request::new("POST", "/jobs", envelope.as_str())),
+            );
             ids[rank[0]] == "backend-0"
         })
         .ok_or("check 27: no e3 campaign depth ranks backend-0 first")?;
-    let envelope = format!(
-        r#"{{"endpoint":"campaign",{}"#,
-        campaign_body.trim_start_matches('{')
-    );
     let (status, doc) = fetch_json(addr, "POST", "/jobs", Some(&envelope))?;
     expect(status == 202, "routed job submit should be 202", &doc)?;
     let job_id = doc

@@ -8,15 +8,18 @@
 //! *hit rate*, and the hit rate survives scale-out only if every
 //! spelling of the same logical request lands on the same backend. The
 //! router therefore scores each backend by the pinned FNV-1a hash of
-//! `backend-id ++ 0x00 ++ routing-key` (see [`routing_key`]) and
-//! forwards to the
-//! highest score. Rendezvous hashing has the minimal-disruption
-//! property a cache fleet wants: removing one of `N` backends remaps
-//! only the keys that backend owned (~`1/N` of the population), and
-//! every surviving key keeps its backend — no ring to rebalance, no
-//! token table to persist. Because the hash is process-stable, the
-//! assignment is reproducible across restarts and predictable offline
-//! by a replay harness.
+//! `backend-id ++ 0x00 ++ routing-key` and forwards to the highest
+//! score. The routing key is [`routing_key`]: the memo key the
+//! backend's own `prepare` derives, with a `POST /jobs` envelope
+//! unwrapped by the same function job admission uses, so a job and its
+//! synchronous twin share a backend and the router holds no parser of
+//! its own. Rendezvous hashing has the minimal-disruption property a
+//! cache fleet wants: removing one of `N` backends remaps only the keys
+//! that backend owned (~`1/N` of the population), and every surviving
+//! key keeps its backend — no ring to rebalance, no token table to
+//! persist. Because the hash is process-stable, the assignment is
+//! reproducible across restarts and predictable offline by a replay
+//! harness.
 //!
 //! # Failure model
 //!
@@ -699,14 +702,14 @@ impl RouterState {
     }
 
     /// Routes one request: rendezvous-rank the backends for its
-    /// canonical key, try them healthy-first in rank order, fail over
+    /// [`routing_key`], try them healthy-first in rank order, fail over
     /// on transport errors, give up with a `502` after every backend
     /// has failed once. Ranking time lands in the `route` span; time
     /// spent waiting on backends (across failover attempts) accumulates
     /// into `backend_wait`.
     fn route(&self, req: &Request, trace: &str, spans: &mut SpanSet) -> Response {
         let (target, healthy_first) = spans.time(Span::Route, || {
-            let key = router_routing_key(req);
+            let key = routing_key(req);
             let ids = self.backend_ids();
             let ranked = rendezvous_rank(&ids, &key);
 
@@ -931,8 +934,8 @@ impl Handler for RouterState {
             ("GET", "/debug/trace") => Response::ok(trace_index_json(self.telemetry.recorder())),
             ("GET", path) if path.starts_with("/debug/trace/") => self.debug_trace(path),
             // poll/cancel follow the id's embedded backend affinity;
-            // POST /jobs falls through to route(), which keys on the
-            // *inner* payload (see `router_routing_key`)
+            // POST /jobs falls through to route(), whose routing_key
+            // unwraps the envelope and keys on the payload it carries
             ("GET" | "DELETE", path) if path.starts_with("/jobs/") => {
                 self.route_job_by_id(req, &trace, &mut spans)
             }
@@ -968,39 +971,6 @@ fn relayed((status, headers, body): FullResponse) -> Response {
             })
             .collect(),
     }
-}
-
-/// The routing key the *router* hashes — [`routing_key`] for everything
-/// except `POST /jobs`, which is keyed by the canonical key of the
-/// payload it wraps. A job submission and its synchronous twin must
-/// land on the same backend so they share that backend's memo and
-/// compile caches; keying the envelope itself would scatter them.
-#[must_use]
-pub fn router_routing_key(req: &Request) -> String {
-    if req.method == "POST" && req.path == "/jobs" {
-        if let Some(inner) = job_inner_request(req) {
-            return routing_key(&inner);
-        }
-    }
-    routing_key(req)
-}
-
-/// Unwraps a `POST /jobs` envelope into the synchronous request it
-/// describes: a `POST /{endpoint}` carrying the same body. `None` when
-/// the body is not a JSON object with a string `endpoint` tag — the
-/// backend will reject it with a `400` anyway, so the raw-key fallback
-/// just has to be deterministic, not meaningful.
-fn job_inner_request(req: &Request) -> Option<Request> {
-    let doc: Value = serde_json::from_str(&String::from_utf8_lossy(&req.body)).ok()?;
-    let endpoint = doc.get("endpoint")?.as_str()?;
-    Some(Request {
-        method: "POST".to_owned(),
-        version: req.version.clone(),
-        path: format!("/{endpoint}"),
-        query: Vec::new(),
-        headers: Vec::new(),
-        body: req.body.clone(),
-    })
 }
 
 /// Reconstructs the request target (`path?query`) for forwarding.

@@ -13,8 +13,12 @@
 //!    it forever).
 //! 3. **Spelling invariance** — every spelling of the same logical
 //!    request (query string vs JSON body, `1e4` vs `10000`, defaulted
-//!    vs explicit parameters) derives the same routing key, so it lands
-//!    on the same backend's cache.
+//!    vs explicit parameters, a `POST /jobs` envelope vs its synchronous
+//!    twin) derives the same routing key, so it lands on the same
+//!    backend's cache.
+//! 4. **Key ⇔ memo** — against a real in-process backend, two requests
+//!    that both answer 200 share a routing key exactly when the second
+//!    is a memo hit: the router's key is the backend's memo key.
 //!
 //! All randomness is seeded: proptest's sampler is seeded per test
 //! name, and key populations are derived from the pinned FNV-1a hash —
@@ -24,7 +28,7 @@ use proptest::prelude::*;
 use raysearch_core::stable_hash64;
 use raysearch_service::http::Request;
 use raysearch_service::route::rendezvous_rank;
-use raysearch_service::routing_key;
+use raysearch_service::{routing_key, ServiceState};
 
 fn backend_ids(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("backend-{i}")).collect()
@@ -269,4 +273,346 @@ fn ranking_is_reproducible_from_id_strings_alone() {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..ids.len()).collect::<Vec<_>>());
     }
+}
+
+/// A job routes with its synchronous twin whether the envelope carries
+/// its `endpoint` tag in the body or in the query: the router unwraps
+/// `POST /jobs` exactly as job admission does, so the job computes on
+/// the backend holding its twin's memo and compile entries.
+#[test]
+fn job_envelopes_route_with_their_synchronous_twin() {
+    for (endpoint, payload) in [
+        ("evaluate", r#""m":2,"k":600,"f":599,"horizon":1e12"#),
+        ("montecarlo", r#""m":3,"k":4,"f":1,"samples":500,"seed":7"#),
+        ("campaign", r#""id":"e11","max_k":12"#),
+    ] {
+        let sync = routing_key(&post(&format!("/{endpoint}"), &format!("{{{payload}}}")));
+        assert!(sync.starts_with(&format!("{endpoint}:")), "{sync}");
+        let mut query_tagged = post("/jobs", &format!("{{{payload}}}"));
+        query_tagged
+            .query
+            .push(("endpoint".to_owned(), endpoint.to_owned()));
+        assert_eq!(
+            routing_key(&query_tagged),
+            sync,
+            "query-tagged {endpoint} job"
+        );
+        let body_tagged = post(
+            "/jobs",
+            &format!(r#"{{"endpoint":"{endpoint}","client":"c",{payload}}}"#),
+        );
+        assert_eq!(
+            routing_key(&body_tagged),
+            sync,
+            "body-tagged {endpoint} job"
+        );
+    }
+}
+
+/// The SplitMix64 sequence (Steele et al.), so the generated pairs
+/// replay identically everywhere.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())].clone()
+    }
+}
+
+/// A parameter value exactly as written: a number's spelling is kept
+/// verbatim (`1e4` and `10000.0` stay distinct on the wire), a string
+/// is quoted in a JSON body and bare in a query.
+#[derive(Clone, Debug)]
+enum Val {
+    Num(String),
+    Str(&'static str),
+}
+
+/// One generated request: the endpoint, its parameters in order, and
+/// whether they travel as a JSON body or as a query string.
+#[derive(Clone, Debug)]
+struct Spec {
+    endpoint: &'static str,
+    params: Vec<(&'static str, Val)>,
+    in_query: bool,
+}
+
+impl Spec {
+    fn request(&self) -> Request {
+        let path = format!("/{}", self.endpoint);
+        if self.in_query {
+            let mut req = post(&path, "");
+            req.query = self
+                .params
+                .iter()
+                .map(|(name, val)| {
+                    let text = match val {
+                        Val::Num(t) => t.clone(),
+                        Val::Str(t) => (*t).to_owned(),
+                    };
+                    ((*name).to_owned(), text)
+                })
+                .collect();
+            return req;
+        }
+        let fields: Vec<String> = self
+            .params
+            .iter()
+            .map(|(name, val)| match val {
+                Val::Num(t) => format!("\"{name}\":{t}"),
+                Val::Str(t) => format!("\"{name}\":\"{t}\""),
+            })
+            .collect();
+        post(&path, &format!("{{{}}}", fields.join(",")))
+    }
+
+    fn get(&self, name: &str) -> Option<&Val> {
+        self.params.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    fn set(&mut self, name: &'static str, val: Val) {
+        match self.params.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = val,
+            None => self.params.push((name, val)),
+        }
+    }
+
+    fn remove(&mut self, name: &str) {
+        self.params.retain(|(n, _)| *n != name);
+    }
+}
+
+fn num(value: impl ToString) -> Val {
+    Val::Num(value.to_string())
+}
+
+/// Three spellings of one integral float: `10000`, `10000.0`, `1e4`.
+fn float_spelling(rng: &mut SplitMix64, value: u32) -> Val {
+    let value = f64::from(value);
+    Val::Num(match rng.below(3) {
+        0 => format!("{value}"),
+        1 => format!("{value:.1}"),
+        _ => format!("{value:e}"),
+    })
+}
+
+/// A cheap request for `endpoint`: small fleets (searchable, trivial
+/// and impossible regimes), horizons up to `2e4`, `max_k` ≤ 3 and at
+/// most 500 Monte-Carlo samples.
+fn base_spec(rng: &mut SplitMix64, endpoint: &'static str) -> Spec {
+    let (m, k, f) = rng.pick(&[
+        (2, 1, 0),
+        (2, 3, 1),
+        (3, 4, 1),
+        (2, 5, 2),
+        (2, 4, 1),
+        (2, 2, 2),
+    ]);
+    let mut params = Vec::new();
+    if endpoint == "campaign" {
+        params.push(("id", Val::Str(rng.pick(&["e1", "e2", "e3"]))));
+        params.push(("max_k", num(1 + rng.below(3))));
+    } else if endpoint == "closed_form" && rng.below(3) == 0 {
+        params.push((
+            "eta",
+            Val::Num(rng.pick(&["1.5", "15e-1", "2.25"]).to_owned()),
+        ));
+    } else {
+        params.push(("m", num(m)));
+        params.push(("k", num(k)));
+        params.push(("f", num(f)));
+        if endpoint != "closed_form" {
+            let horizon = rng.pick(&[1000, 10_000, 20_000]);
+            params.push(("horizon", float_spelling(rng, horizon)));
+        }
+        if endpoint == "verdict" {
+            params.push((
+                "eps",
+                Val::Num(rng.pick(&["0.01", "1e-2", "0.05"]).to_owned()),
+            ));
+        }
+        if endpoint == "montecarlo" {
+            params.push(("samples", num(rng.pick(&[200, 500]))));
+            params.push(("seed", num(rng.pick(&[7, 11]))));
+            params.push(("faults", Val::Str(rng.pick(&["worst", "uniform", "iid"]))));
+            params.push(("p", Val::Num(rng.pick(&["0.2", "0.1"]).to_owned())));
+        }
+    }
+    Spec {
+        endpoint,
+        params,
+        in_query: rng.below(3) == 0,
+    }
+}
+
+/// What a pair is built to exercise.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Pair {
+    /// The same instance, spelled differently: keys must agree.
+    Respelled,
+    /// A different instance that differs in one parameter: keys differ.
+    NearMiss,
+    /// The second request has one parameter broken or dropped: mostly
+    /// rejected (no claim then), sometimes still a valid spelling.
+    Invalid,
+}
+
+fn parsed<T: std::str::FromStr>(spec: &Spec, name: &str) -> Option<T> {
+    match spec.get(name)? {
+        Val::Num(t) => t.parse().ok(),
+        Val::Str(_) => None,
+    }
+}
+
+/// One request pair for `endpoint`: the kind, the first request and
+/// the second derived from it.
+fn pair(rng: &mut SplitMix64, endpoint: &'static str) -> (Pair, Spec, Spec) {
+    let mut a = base_spec(rng, endpoint);
+    let mut b = a.clone();
+    let kind = match rng.below(9) {
+        1 if a.get("horizon").is_some() => {
+            let horizon: f64 = parsed(&a, "horizon").expect("generated horizon");
+            if horizon == 1e4 && rng.below(2) == 0 {
+                b.remove("horizon"); // the default horizon
+            } else {
+                b.set("horizon", float_spelling(rng, horizon as u32));
+            }
+            Pair::Respelled
+        }
+        2 if parsed::<u32>(&a, "m") == Some(2) => {
+            b.remove("m"); // m defaults to the line
+            Pair::Respelled
+        }
+        3 if a.get("faults").is_some() => {
+            // worst-case faults ignore p: present, absent or different
+            a.set("faults", Val::Str("worst"));
+            b = a.clone();
+            match rng.below(3) {
+                0 => b.remove("p"),
+                1 => b.set("p", Val::Num("0.3".to_owned())),
+                _ => b.in_query = !a.in_query,
+            }
+            Pair::Respelled
+        }
+        4 if a.get("eps").is_some() => {
+            match (parsed::<f64>(&a, "eps") == Some(0.01), rng.below(2)) {
+                (true, 0) => b.remove("eps"), // the default margin
+                (true, _) => b.set("eps", Val::Num("0.010".to_owned())),
+                (false, _) => b.set("eps", Val::Num("5e-2".to_owned())),
+            }
+            Pair::Respelled
+        }
+        5 if a.get("id").is_some() => {
+            // threads shapes the schedule, never the rows
+            b.set("threads", num(1 + rng.below(2)));
+            Pair::Respelled
+        }
+        6 => {
+            if a.get("horizon").is_some() {
+                b.set("horizon", Val::Num("3e4".to_owned()));
+            } else if let Some(max_k) = parsed::<u32>(&a, "max_k") {
+                b.set("max_k", num(max_k % 3 + 1));
+            } else if a.get("eta").is_some() {
+                b.set("eta", Val::Num("1.75".to_owned()));
+            } else {
+                let k: u32 = parsed(&a, "k").expect("generated k");
+                b.set("k", num(k + 1));
+            }
+            Pair::NearMiss
+        }
+        7 if a.get("faults").is_some() => {
+            a.set("faults", Val::Str("iid"));
+            a.set("p", Val::Num("0.2".to_owned()));
+            b = a.clone();
+            b.set("p", Val::Num("0.35".to_owned()));
+            Pair::NearMiss
+        }
+        8 => {
+            // break one parameter the first request carries: a string
+            // where a number belongs (or an unknown name), a negative
+            // number, or a missing required parameter
+            let name = a.params[rng.below(a.params.len())].0;
+            match rng.below(3) {
+                0 => b.set(name, Val::Str("x")),
+                1 => b.set(name, Val::Num("-1".to_owned())),
+                _ => b.remove(name),
+            }
+            Pair::Invalid
+        }
+        _ => {
+            b.in_query = !a.in_query;
+            Pair::Respelled
+        }
+    };
+    (kind, a, b)
+}
+
+/// The routing key equals the backend's memo key, end to end: over
+/// seeded pairs of requests to all five memoizable endpoints (respelled
+/// twins, near misses, malformed requests), whenever both answer 200
+/// the keys are equal exactly when the second is a memo hit — one more
+/// `cache.hits` and no new `cache.misses` on a fresh in-process backend.
+#[test]
+fn routing_keys_agree_exactly_when_the_backend_memo_hits() {
+    const ENDPOINTS: [&str; 5] = [
+        "closed_form",
+        "evaluate",
+        "verdict",
+        "campaign",
+        "montecarlo",
+    ];
+    let mut rng = SplitMix64(0x0004_0b5e_55ed);
+    let mut checked = [0usize; 3];
+    let (mut equal, mut rejected) = (0usize, 0usize);
+    for case in 0..400 {
+        let endpoint = ENDPOINTS[case % ENDPOINTS.len()];
+        let (kind, a, b) = pair(&mut rng, endpoint);
+        let (req_a, req_b) = (a.request(), b.request());
+        let state = ServiceState::new(64, 4);
+        let first = state.handle(&req_a);
+        let before = state.cache_stats();
+        let second = state.handle(&req_b);
+        let after = state.cache_stats();
+        if first.status != 200 || second.status != 200 {
+            rejected += usize::from(first.status == 200);
+            continue;
+        }
+        let (key_a, key_b) = (routing_key(&req_a), routing_key(&req_b));
+        assert!(
+            !key_a.starts_with("raw:"),
+            "an answered request keys raw: {key_a}"
+        );
+        let hit = after.hits == before.hits + 1 && after.misses == before.misses;
+        let context = format!("case {case} ({kind:?}): {a:?} then {b:?}\n{key_a}\n{key_b}");
+        assert_eq!(key_a == key_b, hit, "keys vs memo hit, {context}");
+        match kind {
+            Pair::Respelled => assert_eq!(key_a, key_b, "respelled twins split, {context}"),
+            Pair::NearMiss => assert_ne!(key_a, key_b, "near miss merged, {context}"),
+            Pair::Invalid => {}
+        }
+        checked[kind as usize] += 1;
+        equal += usize::from(key_a == key_b);
+    }
+    // the generator must reach every kind and both sides of the claim
+    assert!(
+        checked[0] >= 100 && checked[1] >= 20 && checked[2] >= 1,
+        "{checked:?} pairs answered 200 twice (respelled, near miss, invalid)"
+    );
+    assert!(equal >= 100 && checked.iter().sum::<usize>() - equal >= 20);
+    assert!(
+        rejected >= 15,
+        "only {rejected} second requests were rejected"
+    );
 }
