@@ -2,7 +2,9 @@
 //! the number of rays, the fleet and the horizon. The line rows are the
 //! `m = 2` case: zig-zag itineraries compiled as two-ray tours. The
 //! `compile` rows time the step before: compiling E12's large optimal
-//! fleets, pieces and sweep plans, with no cache.
+//! fleets, pieces and sweep plans, with no cache. The `warm` rows
+//! evaluate those fleets precompiled over `[1, 1e12]`, the offline
+//! counterpart of the `e12-sweep` benchmark's `eval.warm_ms`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use raysearch_core::{optimal_fleet, CompiledFleet, NoCache, RayEvaluator};
@@ -99,6 +101,22 @@ fn bench_compile(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_warm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("eval_rays/warm");
+    for &k in &[512u32, 4096] {
+        let fleet = optimal_fleet(&NoCache, 2, k, k - 1, 1e12).unwrap();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("k{k}_f{}", k - 1)),
+            &fleet,
+            |b, fleet| {
+                let evaluator = RayEvaluator::new(2, k - 1, 1.0, 1e12).unwrap();
+                b.iter(|| evaluator.evaluate(black_box(fleet)).unwrap().ratio)
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_line_detection_queries(c: &mut Criterion) {
     let fleet = line_fleet(5, 2, 1e5);
     let evaluator = RayEvaluator::new(2, 2, 1.0, 1e4).unwrap();
@@ -123,6 +141,7 @@ criterion_group!(
     bench_line_by_fleet,
     bench_line_by_horizon,
     bench_line_detection_queries,
-    bench_compile
+    bench_compile,
+    bench_warm
 );
 criterion_main!(benches);

@@ -12,8 +12,8 @@
 //! ratio against `Λ(η)` at a deep horizon.
 //!
 //! Every row must be finite with `measured ≤ closed_form` and relative
-//! error at the `10^-6` scale; the CI large-fleet smoke job asserts
-//! exactly that over the emitted JSON.
+//! error at the `10^-6` scale; the umbrella package's `e12_large_fleet`
+//! test asserts exactly that over the full sweep.
 
 use std::sync::Arc;
 

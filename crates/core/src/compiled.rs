@@ -115,6 +115,14 @@ pub(crate) struct Transition {
 /// with `lo ≥ 0` are exactly the distinct finite right ends there, and
 /// crossing a right end swaps one constant for the next.
 ///
+/// No transition lowers a rank: `enter ≥ leave` unless the plan ends.
+/// The builder sets a piece's constant to twice the running sum of the
+/// robot's turns before its leg, and no turn is negative (`Excursion`
+/// and `LogExcursion` take positive turns only), so a robot's constants
+/// never decrease along its run; ranks follow the bit order of
+/// non-negative constants. The evaluator's forward-only order-statistic
+/// cursor rests on this.
+///
 /// Its two sorts take the pieces in [`column_order`], which is already
 /// sorted on a cyclic exponential fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,6 +184,7 @@ impl SweepPlan {
             if t.enter != PLAN_ENDS {
                 t.enter = ranks[t.enter as usize];
             }
+            debug_assert!(t.enter == PLAN_ENDS || t.enter >= t.leave);
         }
         // right ends are positive and finite, where the bit pattern
         // orders like the value
@@ -965,7 +974,7 @@ mod tests {
     /// the ranks it swaps, taken robot by robot and sorted. Tied right
     /// ends may come in any order (the evaluator applies all of them
     /// before its next probe), so transitions compare ordered by
-    /// `(at, leave, enter)`.
+    /// `(at, leave, enter)`. No transition may lower a rank.
     fn assert_plans_sort_from_scratch(fleet: &CompiledFleet, at: &str) {
         for ray in 0..fleet.num_rays() {
             let at = format!("{at}: ray {ray}");
@@ -999,6 +1008,10 @@ mod tests {
                 .collect();
             got.sort_unstable();
             assert_eq!(got, transitions, "{at}: transitions");
+            assert!(
+                (plan.transitions.iter()).all(|t| t.enter == PLAN_ENDS || t.enter >= t.leave),
+                "{at}: a transition lowers a rank"
+            );
         }
     }
 

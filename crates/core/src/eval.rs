@@ -19,8 +19,8 @@
 //! robot's first-piece rank, and the pieces' finite right ends in order
 //! of position, each naming the constant that leaves and the one that
 //! enters (or that the robot's plan ends there). An evaluation is one
-//! linear pass over each ray's plan with a Fenwick tree of counts; it
-//! orders nothing itself.
+//! linear pass over each ray's plan with a count per constant rank and a
+//! cursor that only moves up the ranks; it orders nothing itself.
 //!
 //! This is the measurement side of the paper: running it on the
 //! [`CyclicExponential`](raysearch_strategies::CyclicExponential)
@@ -183,66 +183,31 @@ impl SupAccum {
     }
 }
 
-/// A Fenwick (binary indexed) tree of counts over constant ranks,
-/// supporting point updates and order-statistic selection.
-struct Fenwick {
-    tree: Vec<i32>,
-}
-
-impl Fenwick {
-    fn new(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Adds `delta` to index `i` (0-based).
-    fn add(&mut self, i: usize, delta: i32) {
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// The smallest 0-based index whose prefix count reaches `k`
-    /// (1-based rank). Precondition: the total count is at least `k`.
-    fn select(&self, mut k: i32) -> usize {
-        let n = self.tree.len() - 1;
-        let mut pos = 0usize;
-        let mut mask = n.next_power_of_two();
-        while mask > 0 {
-            let next = pos + mask;
-            if next <= n && self.tree[next] < k {
-                k -= self.tree[next];
-                pos = next;
-            }
-            mask >>= 1;
-        }
-        pos
-    }
-}
-
 /// The sup over one ray: one left-to-right pass over the ray's
 /// [`SweepPlan`].
 ///
 /// The candidate targets are `lo` and every distinct right end in
 /// `(lo, hi)`. Each is probed at the midpoint of the segment it opens,
 /// where no boundary lies, so every robot's constant is uniform on the
-/// segment. A Fenwick tree over constant ranks holds the multiset of
-/// constants covering the probe: it starts with every robot's first
-/// piece, and each right end passed swaps the leaving constant for the
+/// segment. A count per constant rank holds the multiset of constants
+/// covering the probe: it starts with every robot's first piece, and
+/// each right end passed moves one count from the leaving rank to the
 /// entering one. The covering count is the number of robots whose plan
-/// reaches the probe, and the `(f+1)`-st smallest constant is one
-/// `O(log U)` selection. Constants are ranked in `total_cmp` order, one
-/// rank per bit pattern, so the selected value is exactly the per-robot
-/// order statistic.
+/// reaches the probe. No transition lowers a rank (see [`SweepPlan`]),
+/// so the number of covering constants below any rank never grows and
+/// the `(f+1)`-st smallest only moves up: a cursor finds it by stepping
+/// forward, and a whole ray costs `O(constants + transitions)`.
+/// Constants are ranked in `total_cmp` order, one rank per bit pattern,
+/// so the selected value is exactly the per-robot order statistic.
 fn sweep_ray(plan: &SweepPlan, needed: usize, lo: f64, hi: f64, ray: usize, acc: &mut SupAccum) {
     let ends = &plan.transitions;
-    let mut counts = Fenwick::new(plan.constants.len());
+    let mut counts = vec![0u32; plan.constants.len()];
     for &rank in &plan.first {
-        counts.add(rank as usize, 1);
+        counts[rank as usize] += 1;
     }
+    // the cursor: the candidate rank, and how many covering constants
+    // rank below it (always fewer than `needed`)
+    let (mut pos, mut below) = (0, 0);
     let mut active = plan.first.len();
     let mut applied = 0;
     let mut next_end = ends.partition_point(|t| t.at <= lo);
@@ -253,13 +218,17 @@ fn sweep_ray(plan: &SweepPlan, needed: usize, lo: f64, hi: f64, ray: usize, acc:
         let probe = 0.5 * (b + next.unwrap_or(hi));
         // probes strictly increase, so the transition pointer only
         // advances; transitions at one position apply in any order,
-        // because Fenwick adds commute
+        // because count moves commute
         while let Some(t) = ends.get(applied).filter(|t| t.at < probe) {
-            counts.add(t.leave as usize, -1);
+            let leave = t.leave as usize;
+            counts[leave] -= 1;
+            below -= usize::from(leave < pos);
             if t.enter == PLAN_ENDS {
                 active -= 1;
             } else {
-                counts.add(t.enter as usize, 1);
+                let enter = t.enter as usize;
+                counts[enter] += 1;
+                below += usize::from(enter < pos);
             }
             applied += 1;
         }
@@ -270,8 +239,13 @@ fn sweep_ray(plan: &SweepPlan, needed: usize, lo: f64, hi: f64, ray: usize, acc:
                 detection_limit: f64::INFINITY,
             });
         } else {
-            // the (f+1)-st smallest covering constant, straight off the tree
-            let c = plan.constants[counts.select(needed as i32)];
+            // the (f+1)-st smallest covering constant: the first rank
+            // whose prefix count reaches `needed`
+            while below + (counts[pos] as usize) < needed {
+                below += counts[pos] as usize;
+                pos += 1;
+            }
+            let c = plan.constants[pos];
             let candidate = WorstTarget {
                 ray,
                 x: b,
@@ -1093,6 +1067,72 @@ mod tests {
             .collect();
         assert!(reports.iter().any(|r| r.uncovered.is_some()));
         assert!(reports.iter().any(|r| r.ratio.is_finite()));
+    }
+
+    /// A seeded random fleet: `m ∈ 1..=4` rays, `k ∈ 2..=9` robots, each
+    /// excursion on a random ray with a log-uniform turn from a grid of
+    /// 45 values in `[1, 2048]`. Many excursions fall short of the
+    /// robot's reach and open no piece, and the grid makes robots share
+    /// right ends, so several swap constants at one position.
+    fn random_fleet(seed: u64) -> (CompiledFleet, usize) {
+        use raysearch_sim::{Excursion, RayId};
+        let mut counter = seed << 32;
+        let mut draw = |n: usize| {
+            counter += 1;
+            (crate::splitmix64(counter) % n as u64) as usize
+        };
+        let (m, k) = (1 + draw(4), 2 + draw(8));
+        let mut excursions = 0;
+        let mut tours = Vec::new();
+        for _ in 0..k {
+            let mut tour = Vec::new();
+            for _ in 0..4 + draw(12 * m) {
+                let ray = RayId::new(draw(m), m).unwrap();
+                tour.push(Excursion::new(ray, (draw(45) as f64 / 4.0).exp2()).unwrap());
+            }
+            excursions += tour.len();
+            tours.push(TourItinerary::new(m, tour).unwrap());
+        }
+        (tour_fleet(m as u32, &tours, 1e3), excursions)
+    }
+
+    /// The rank cursor against the brute-force reference on random
+    /// fleets, for every `f` and over ranges whose ends sit on right
+    /// ends: bit for bit in ratio, worst target, uncovered witness and
+    /// breakpoint count.
+    #[test]
+    fn random_tours_match_a_brute_force_scan_bit_for_bit() {
+        let (mut covered, mut uncovered, mut tied, mut idle) = (0, 0, 0, 0);
+        for seed in 0..120 {
+            let (fleet, excursions) = random_fleet(seed);
+            idle += excursions - fleet.num_pieces();
+            let ends = fleet.boundaries_on_ray(0, 1.0, 1e3);
+            let mut ranges = vec![(1.0, 1e3)];
+            if ends.len() >= 4 {
+                let (a, b) = (ends[ends.len() / 4], ends[3 * ends.len() / 4]);
+                ranges.extend([(a, b), (a, 1e3), (1.0, b)]);
+            }
+            for ray in 0..fleet.num_rays() {
+                let swaps = &fleet.plan(ray).transitions;
+                tied += swaps.windows(2).filter(|w| w[0].at == w[1].at).count();
+            }
+            for f in 0..fleet.num_robots() as u32 {
+                for &(lo, hi) in &ranges {
+                    let at = format!("seed {seed}, f = {f}, [{lo}, {hi}]");
+                    let evaluator = RayEvaluator::new(fleet.num_rays(), f, lo, hi).unwrap();
+                    let report = evaluator.evaluate(&fleet).unwrap();
+                    assert_same_report(&at, &report, &brute_force(&fleet, f, lo, hi));
+                    if report.is_covered() {
+                        covered += 1;
+                    } else {
+                        uncovered += 1;
+                    }
+                }
+            }
+        }
+        // the fleets reach what they are for
+        assert!(covered > 500 && uncovered > 500, "{covered} / {uncovered}");
+        assert!(tied > 200 && idle > 2000, "{tied} ties, {idle} idle");
     }
 
     #[test]

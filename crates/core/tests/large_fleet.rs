@@ -4,9 +4,10 @@
 //! agreement, monotonically in `k`, with the trivial regime and the
 //! horizon-overflow guard pinned alongside.
 //!
-//! Horizons here are sized for debug-build test budgets; the full
-//! `horizon = 1e12` sweep up to `k = 4096` runs in release via the E12
-//! campaign and its CI smoke job.
+//! The closed-form sweep here stays at horizons `1e7`–`1e8`; the full
+//! `horizon = 1e12` E12 sweep up to `k = 4096` runs under Tier-1 in the
+//! umbrella package's `e12_large_fleet` test, which pins its rows bit
+//! for bit.
 
 use raysearch_bounds::a_rays;
 use raysearch_core::{evaluate_optimal, CoreError};
