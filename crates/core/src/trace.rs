@@ -86,7 +86,9 @@ impl SpanData {
     /// Sum of the durations of the *leaf* spans of this tree (a span
     /// with children contributes its children, not itself). For disjoint
     /// sibling intervals this can never exceed the root duration — the
-    /// invariant the probe and the trace-smoke CI job assert.
+    /// invariant `router_telemetry`'s
+    /// `one_routed_request_is_slow_logged_and_assembled_across_both_tiers`
+    /// asserts on an assembled cross-tier trace.
     #[must_use]
     pub fn leaf_duration_sum(&self) -> u64 {
         if self.children.is_empty() {

@@ -8,6 +8,12 @@
 //! `TIME_WAIT`, so same-port rebinding is exactly the flaky thing this
 //! design avoids — is rediscovered under its stable logical id without
 //! any reconfiguration, and rendezvous routing never reshuffles.
+//!
+//! Each child's stdin is a pipe whose write end only the fleet holds,
+//! and `raysearchd` exits when a piped stdin closes. So the children
+//! die with the process that owns the fleet however it ends: `Drop`
+//! kills them on an orderly exit, and on SIGKILL the kernel closes the
+//! pipes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -222,7 +228,10 @@ fn spawn_backend(
         .arg("--job-node")
         .arg(node.to_string())
         .args(extra_args)
-        .stdin(Stdio::null())
+        // the write end stays in the returned `Child`: closing it (the
+        // fleet dropping the child, or this process dying) ends the
+        // backend
+        .stdin(Stdio::piped())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()

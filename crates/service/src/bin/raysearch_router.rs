@@ -5,17 +5,15 @@
 //! raysearch-router [--backends N | --join ADDR ...] [--addr HOST:PORT]
 //!                  [--record PATH] [--port-file PATH] [--state-dir DIR]
 //!                  [--workers N] [--queue N]
-//! raysearch-router --probe
 //! ```
 //!
-//! Serve mode spawns `N` `raysearchd` child backends on ephemeral
+//! The router spawns `N` `raysearchd` child backends on ephemeral
 //! ports (or joins already-running ones via `--join`), rendezvous-
 //! routes every request across them, and serves the router's own
 //! `/healthz` and aggregated `/stats`. `--record` captures forwarded
 //! traffic to a line-delimited JSON tape that `replaygen` can verify
-//! byte-for-byte later. `--probe` runs the self-hosted router smoke
-//! test (checks 19–28, after `raysearchd --probe`'s 18) against an
-//! in-process fleet and exits 0 on success.
+//! byte-for-byte later. Spawned backends exit when the router does,
+//! however it ends.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -23,19 +21,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use raysearch_service::backends::{raysearchd_bin, BackendFleet};
-use raysearch_service::probe::run_router_probe;
 use raysearch_service::route::{spawn_health_thread, BackendSpec, RouterState};
 use raysearch_service::server::{Server, ServerConfig};
 use raysearch_service::tape::TapeRecorder;
 
 const USAGE: &str = "\
-usage: raysearch-router [mode] [options]
+usage: raysearch-router [options]
 
-modes (default: serve):
-  --probe            self-hosted router smoke test (in-process fleet),
-                     exits 0 if every check passes
-
-serve options:
+options:
   --backends N       spawn N raysearchd child backends (default 2)
   --join ADDR        route across an existing backend at ADDR instead of
                      spawning (repeatable)
@@ -64,7 +57,6 @@ executable, or via the RAYSEARCHD_BIN environment variable
 
 #[derive(Debug, Default)]
 struct Cli {
-    probe: bool,
     backends: Option<usize>,
     join: Vec<String>,
     addr: Option<String>,
@@ -94,7 +86,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         };
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--probe" => cli.probe = true,
             "--backends" => {
                 cli.backends = Some(parse_count("--backends", value_of("--backends")?)?);
             }
@@ -215,15 +206,6 @@ fn serve(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-fn probe() -> Result<(), String> {
-    let lines = run_router_probe()?;
-    for line in &lines {
-        println!("probe ok - {line}");
-    }
-    println!("router probe: all {} checks passed", lines.len());
-    Ok(())
-}
-
 fn main() {
     let parsed = match parse_args(&std::env::args().skip(1).collect::<Vec<_>>()) {
         Ok(Some(cli)) => cli,
@@ -236,12 +218,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let outcome = if parsed.probe {
-        probe()
-    } else {
-        serve(&parsed)
-    };
-    if let Err(msg) = outcome {
+    if let Err(msg) = serve(&parsed) {
         eprintln!("raysearch-router: {msg}");
         std::process::exit(1);
     }

@@ -1,28 +1,22 @@
 //! `raysearchd` — the caching evaluation server for the `raysearch`
-//! reproduction, plus its self-client probe mode.
+//! reproduction.
 //!
 //! ```text
 //! raysearchd [--addr HOST:PORT] [--workers N] [--queue N]
 //!            [--cache-capacity N] [--shards N] [--port-file PATH]
-//! raysearchd --probe ADDR
 //! ```
 //!
-//! Serve mode binds (an ephemeral port by default), prints the bound
+//! The server binds (an ephemeral port by default), prints the bound
 //! address, optionally writes it to `--port-file` for scripts, and runs
-//! until killed. `--probe` smoke-tests every endpoint of a running
-//! server and exits 0 on success.
+//! until killed — or, when its stdin is a pipe, until that pipe closes,
+//! which is how a router's child backends die with their router.
 
-use raysearch_service::probe::run_probe;
 use raysearch_service::server::{Server, ServerConfig};
 
 const USAGE: &str = "\
-usage: raysearchd [mode] [options]
+usage: raysearchd [options]
 
-modes (default: serve):
-  --probe ADDR       smoke-test every endpoint of the server at ADDR
-                     (e.g. 127.0.0.1:8077) and exit 0 if all pass
-
-serve options:
+options:
   --addr HOST:PORT   bind address (default 127.0.0.1:0 = ephemeral port)
   --workers N        worker threads (default: max(4, cores))
   --queue N          bounded accept-queue depth (default 128)
@@ -49,11 +43,13 @@ serve options:
                      job id, so a router can route polls back to the
                      minting backend (default 0)
 
+the server runs until killed; when stdin is a pipe it also exits once
+the pipe closes, so backends spawned by a router die with it
+
   --help             show this help";
 
 #[derive(Debug, Default)]
 struct Cli {
-    probe: Option<String>,
     addr: Option<String>,
     port_file: Option<String>,
     workers: Option<usize>,
@@ -86,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         };
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--probe" => cli.probe = Some(value_of("--probe")?),
             "--addr" => cli.addr = Some(value_of("--addr")?),
             "--port-file" => cli.port_file = Some(value_of("--port-file")?),
             "--workers" => cli.workers = Some(parse_count("--workers", value_of("--workers")?)?),
@@ -196,6 +191,7 @@ fn serve(cli: &Cli) -> Result<(), String> {
         server.state().telemetry().set_trace_sample(n);
     }
     let addr = server.local_addr().map_err(|e| e.to_string())?;
+    exit_when_stdin_pipe_closes();
     println!(
         "raysearchd listening on {addr} ({} workers, cache {} x {} shards)",
         cfg.workers, cfg.cache_capacity, cfg.cache_shards
@@ -207,14 +203,32 @@ fn serve(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-fn probe(addr: &str) -> Result<(), String> {
-    let lines = run_probe(addr)?;
-    for line in &lines {
-        println!("probe ok - {line}");
+/// Exits the process once stdin reaches EOF, if stdin is a pipe. A
+/// parent that holds the write end (`BackendFleet` does) takes this
+/// server down with it however it dies, SIGKILL included, because the
+/// kernel closes the pipe. A terminal or `/dev/null` stdin is left
+/// alone, so a standalone server runs until killed.
+#[cfg(unix)]
+fn exit_when_stdin_pipe_closes() {
+    use std::os::fd::AsFd;
+    use std::os::unix::fs::FileTypeExt;
+
+    let is_pipe = std::io::stdin()
+        .as_fd()
+        .try_clone_to_owned()
+        .map(std::fs::File::from)
+        .and_then(|stdin| stdin.metadata())
+        .is_ok_and(|meta| meta.file_type().is_fifo());
+    if is_pipe {
+        std::thread::spawn(|| {
+            let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+            std::process::exit(0);
+        });
     }
-    println!("probe: all {} checks passed", lines.len());
-    Ok(())
 }
+
+#[cfg(not(unix))]
+fn exit_when_stdin_pipe_closes() {}
 
 fn main() {
     let parsed = match parse_args(&std::env::args().skip(1).collect::<Vec<_>>()) {
@@ -228,12 +242,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let outcome = if let Some(addr) = &parsed.probe {
-        probe(addr)
-    } else {
-        serve(&parsed)
-    };
-    if let Err(msg) = outcome {
+    if let Err(msg) = serve(&parsed) {
         eprintln!("raysearchd: {msg}");
         std::process::exit(1);
     }

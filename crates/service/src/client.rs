@@ -1,6 +1,6 @@
-//! A minimal HTTP/1.1 client for the probe, the router's forwards, tape
-//! replay and the integration tests — the same hand-rolled layer as the
-//! server, from the other side of the socket.
+//! A minimal HTTP/1.1 client for the router's forwards, tape replay and
+//! the integration tests — the same hand-rolled layer as the server,
+//! from the other side of the socket.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

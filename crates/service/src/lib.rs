@@ -26,8 +26,8 @@
 //!   the node-tagged job-id scheme behind `POST /jobs`,
 //!   `GET /jobs/{id}` (long-poll via `?wait_micros=`) and
 //!   `DELETE /jobs/{id}`;
-//! * [`client`] / [`probe`] — the self-client: CI smoke probing
-//!   (`raysearchd --probe`, `raysearch-router --probe`).
+//! * [`client`] — a minimal blocking HTTP/1.1 client for tests, the
+//!   router's forwards and replay.
 //!
 //! The scale-out tier shards requests across many `raysearchd`
 //! processes and regression-tests the whole fleet at the byte level:
@@ -86,7 +86,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod probe;
 pub mod replay;
 pub mod route;
 pub mod server;

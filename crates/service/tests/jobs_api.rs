@@ -3,7 +3,8 @@
 //! must poll to `done` with result payloads *byte-identical* to the
 //! synchronous endpoints — at replay concurrency 1 and 8 — plus the
 //! lifecycle edges (cancel, admission shedding with `Retry-After`,
-//! long-poll, cost threshold).
+//! long-poll, cost threshold, unknown ids), and interactive reads
+//! staying fast while a deep job runs.
 
 use raysearch_service::client::{fetch_json, HttpClient};
 use raysearch_service::server::{Server, ServerConfig, ServerHandle};
@@ -346,5 +347,74 @@ fn long_poll_returns_early_on_completion() {
         started.elapsed() < std::time::Duration::from_secs(4),
         "long poll should return on completion, not at the deadline"
     );
+    handle.shutdown();
+}
+
+#[test]
+fn reads_stay_fast_while_a_deep_job_runs_and_done_jobs_are_final() {
+    use raysearch_service::telemetry::stat;
+
+    let (handle, addr) = spawn_jobs_server(4, 2);
+    // warm the read that is timed while the job is in flight
+    let (status, _) = fetch_json(&addr, "GET", "/closed_form?k=3&f=1", None).unwrap();
+    assert_eq!(status, 200);
+
+    // the deepest registry campaign, on the compute pool
+    let (status, doc) = fetch_json(
+        &addr,
+        "POST",
+        "/jobs",
+        Some(&envelope("campaign", r#"{"id":"e11","max_k":12}"#, "deep")),
+    )
+    .unwrap();
+    assert_eq!(status, 202, "{}", doc.to_json_string());
+    assert_eq!(doc.get("state").and_then(Value::as_str), Some("queued"));
+    let id = doc.get("id").and_then(Value::as_str).unwrap().to_owned();
+
+    // the job may not hold an HTTP worker: health and a cached read
+    // answer at once
+    let started = std::time::Instant::now();
+    let (status, _) = fetch_json(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let (status, doc) = fetch_json(&addr, "GET", "/closed_form?k=3&f=1", None).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(doc.get("cached").and_then(Value::as_bool), Some(true));
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "healthz + cached read took {elapsed:?} beside a running job"
+    );
+
+    poll_done(&addr, &id);
+    let (_, stats) = fetch_json(&addr, "GET", "/stats", None).unwrap();
+    assert_eq!(stat(&stats, "jobs.submitted"), Some(1));
+    assert_eq!(stat(&stats, "jobs.completed"), Some(1));
+    // a done job is terminal: cancelling it is a 409, not a success
+    let (status, doc) = fetch_json(&addr, "DELETE", &format!("/jobs/{id}"), None).unwrap();
+    assert_eq!(status, 409, "{}", doc.to_json_string());
+    assert!(doc.get("error").is_some());
+    handle.shutdown();
+}
+
+#[test]
+fn unknown_ids_and_ineligible_endpoints_are_well_formed_errors() {
+    let (handle, addr) = spawn_jobs_server(2, 1);
+    for id in ["00ffffffffffffff", "not-a-job-id"] {
+        let (status, doc) = fetch_json(&addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!(status, 404, "{id}: {}", doc.to_json_string());
+        assert!(doc.get("error").is_some(), "{id}");
+    }
+    let (status, doc) = fetch_json(
+        &addr,
+        "POST",
+        "/jobs",
+        Some(r#"{"endpoint":"closed_form","k":3,"f":1}"#),
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{}", doc.to_json_string());
+    assert!(doc
+        .get("error")
+        .and_then(Value::as_str)
+        .is_some_and(|e| e.contains("not job-eligible")));
     handle.shutdown();
 }

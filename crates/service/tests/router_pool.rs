@@ -2,9 +2,9 @@
 //! idle keep-alive connection per backend, reused by forwards and
 //! health probes alike, retried once on a fresh connection when it went
 //! stale, never reused across a `Connection: close` or an address
-//! change — and a relay that passes bodies and headers through
-//! verbatim. Everything runs in process on ephemeral ports, without
-//! sleeps.
+//! change — and a relay that passes bodies, headers and backend sheds
+//! through verbatim, and routes job polls by the node tag in the id.
+//! Everything runs in process on ephemeral ports, without sleeps.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -70,6 +70,13 @@ fn backend_stats(state: &RouterState, id: &str) -> Value {
         })
         .cloned()
         .unwrap_or_else(|| panic!("no backend {id:?} in {}", stats.body))
+}
+
+/// A fleet-wide counter from the router's `/stats`.
+fn fleet_counter(state: &RouterState, name: &str) -> u64 {
+    let stats = state.handle(&get("/stats"));
+    let doc: Value = serde_json::from_str(&stats.body).expect("stats is JSON");
+    counter(&doc, name)
 }
 
 fn counter(entry: &Value, name: &str) -> u64 {
@@ -442,4 +449,150 @@ fn a_job_poll_to_a_dead_backend_is_not_a_failover() {
         counter(&backend_stats(&state, "backend-0"), "failed"),
         failed_before + 1
     );
+}
+
+/// Answers health probes and sheds every routed request with the
+/// shared `503` + `Retry-After`. Real overload (a full accept queue)
+/// cannot be provoked on demand; a backend that always sheds can.
+#[derive(Debug, Default)]
+struct ShedStub;
+
+impl Handler for ShedStub {
+    fn handle(&self, req: &Request) -> Response {
+        match req.path.as_str() {
+            "/healthz" | "/stats" => Response::ok("{}"),
+            _ => Response::shed("shed-stub sheds every request"),
+        }
+    }
+}
+
+#[test]
+fn a_backend_shed_passes_through_with_retry_after_and_no_failover() {
+    let (backend, backend_addr) = spawn_backend(2);
+    let stub = Server::bind_with(config(2), Arc::new(ShedStub))
+        .expect("bind stub")
+        .spawn();
+    let state = Arc::new(RouterState::new(
+        vec![
+            BackendSpec::fixed("backend-0", &backend_addr),
+            BackendSpec::fixed("shed-stub", &stub.addr().to_string()),
+        ],
+        None,
+    ));
+    assert_eq!(state.check_backends_now(), 2);
+    let router = Server::bind_with(config(2), Arc::clone(&state))
+        .expect("bind router")
+        .spawn();
+    let ids = state.backend_ids();
+    let target = (1u32..200)
+        .map(|k| format!("/closed_form?k={k}&f=0"))
+        .find(|target| ids[rendezvous_rank(&ids, &routing_key(&get(target)))[0]] == "shed-stub")
+        .expect("a target the stub owns");
+
+    let (status, headers, body) = HttpClient::connect(&router.addr().to_string())
+        .and_then(|mut c| c.request_with_headers("GET", &target, None, &[]))
+        .expect("shed request");
+    assert_eq!(status, 503, "{body}");
+    let doc: Value = serde_json::from_str(&body).expect("shed body is JSON");
+    assert!(doc.get("error").is_some(), "{body}");
+    assert_eq!(
+        headers
+            .iter()
+            .find(|(n, _)| n == "retry-after")
+            .map(|(_, v)| v.as_str()),
+        Some("1"),
+        "the back-off hint survives the router"
+    );
+    // overload is an answer, not a transport error
+    assert_eq!(fleet_counter(&state, "shed_passthrough"), 1);
+    assert_eq!(state.failover_total(), 0);
+    assert_eq!(counter(&backend_stats(&state, "shed-stub"), "routed"), 1);
+    assert_eq!(counter(&backend_stats(&state, "backend-0"), "routed"), 0);
+
+    router.shutdown();
+    stub.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn job_ids_route_polls_to_the_minting_backend() {
+    let backends: Vec<ServerHandle> = (0..2)
+        .map(|node| {
+            Server::bind(ServerConfig {
+                job_node: node,
+                ..config(2)
+            })
+            .expect("bind backend")
+            .spawn()
+        })
+        .collect();
+    let state = RouterState::new(
+        backends
+            .iter()
+            .enumerate()
+            .map(|(i, b)| BackendSpec::fixed(&format!("backend-{i}"), &b.addr().to_string()))
+            .collect(),
+        None,
+    );
+    assert_eq!(state.check_backends_now(), 2);
+    // a campaign the second backend owns, by the router's own key for
+    // the envelope
+    let ids = state.backend_ids();
+    let (body, envelope) = (1u32..=12)
+        .map(|max_k| {
+            (
+                format!(r#"{{"id":"e3","max_k":{max_k}}}"#),
+                format!(r#"{{"endpoint":"campaign","id":"e3","max_k":{max_k}}}"#),
+            )
+        })
+        .find(|(_, envelope)| {
+            let key = routing_key(&request("POST", "/jobs", envelope.as_bytes()));
+            ids[rendezvous_rank(&ids, &key)[0]] == "backend-1"
+        })
+        .expect("an e3 depth backend-1 owns");
+
+    let submitted = state.handle(&request("POST", "/jobs", envelope.as_bytes()));
+    assert_eq!(submitted.status, 202, "{}", submitted.body);
+    let doc: Value = serde_json::from_str(&submitted.body).expect("job envelope is JSON");
+    let id = doc
+        .get("id")
+        .and_then(Value::as_str)
+        .expect("job id")
+        .to_owned();
+    assert!(id.starts_with("01"), "backend 1 tags its ids: {id}");
+    let poll = get(&format!("/jobs/{id}?wait_micros=1000000"));
+    let record = (0..60)
+        .map(|_| state.handle(&poll))
+        .map(|r| {
+            assert_eq!(r.status, 200, "{}", r.body);
+            serde_json::from_str(&r.body).expect("job record is JSON")
+        })
+        .find(|record| record.get("state").and_then(Value::as_str) == Some("done"))
+        .expect("the job finishes");
+    let sync = state.handle(&request("POST", "/campaign", body.as_bytes()));
+    assert_eq!(sync.status, 200, "{}", sync.body);
+    let sync: Value = serde_json::from_str(&sync.body).expect("campaign is JSON");
+    assert_eq!(
+        record.get("result").map(Value::to_json_string),
+        sync.get("result").map(Value::to_json_string),
+        "job and sync payloads diverge"
+    );
+    assert_eq!(counter(&backend_stats(&state, "backend-0"), "routed"), 0);
+
+    // an id naming a node past the fleet is answered by the router
+    // without contacting any backend
+    let routed = fleet_counter(&state, "routed_total");
+    let missing = state.handle(&get("/jobs/ff00000000000001"));
+    assert_eq!(missing.status, 404, "{}", missing.body);
+    assert!(missing.body.contains("backend"), "{}", missing.body);
+    assert_eq!(fleet_counter(&state, "routed_total"), routed);
+
+    // the fleet's /stats aggregates the backends' job counters
+    state.check_backends_now();
+    assert_eq!(fleet_counter(&state, "jobs_submitted"), 1);
+    assert_eq!(fleet_counter(&state, "jobs_completed"), 1);
+    drop(state);
+    for backend in backends {
+        backend.shutdown();
+    }
 }

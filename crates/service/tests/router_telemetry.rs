@@ -1,14 +1,18 @@
 //! Observability-layer integration tests: the router's `/stats` and
 //! `/metrics` must never poll backends synchronously (pinned by a
-//! request-counting backend stub), and `x-raysearch-trace` must round
-//! trip router → backend → response at the raw socket level.
+//! request-counting backend stub), `x-raysearch-trace` must round
+//! trip router → backend → response at the raw socket level, and the
+//! router's slow log and `/debug/trace` must show one request across
+//! both tiers.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use raysearch_core::SpanData;
 use raysearch_service::api::ServiceState;
+use raysearch_service::client::fetch_json;
 use raysearch_service::http::{Request, Response};
 use raysearch_service::route::{BackendSpec, RouterState};
 use raysearch_service::server::{Handler, Server, ServerConfig};
@@ -198,6 +202,122 @@ fn trace_header_round_trips_router_to_backend_to_response() {
         .expect("response carries a trace header");
     assert_eq!(minted.len(), 16, "minted id is 16 hex digits: {minted:?}");
     assert!(minted.chars().all(|c| c.is_ascii_hexdigit()));
+
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// Asserts every descendant of `span` lies inside its parent's
+/// interval, recursively.
+fn assert_nested(span: &SpanData) {
+    for child in &span.children {
+        assert!(
+            span.start_micros <= child.start_micros
+                && child.start_micros <= child.end_micros
+                && child.end_micros <= span.end_micros,
+            "{} escapes its parent {}",
+            child.to_json(),
+            span.name
+        );
+        assert_nested(child);
+    }
+}
+
+#[test]
+fn one_routed_request_is_slow_logged_and_assembled_across_both_tiers() {
+    // both tiers keep every trace, so the backend sampled the request
+    // the router did; the router logs every request as slow
+    let backend_state = Arc::new(ServiceState::new(256, 4));
+    backend_state.telemetry().set_trace_sample(1);
+    let backend = Server::bind_with(small_config(), backend_state)
+        .expect("bind backend")
+        .spawn();
+    let router_state = Arc::new(RouterState::new(
+        vec![BackendSpec::fixed("backend-0", &backend.addr().to_string())],
+        None,
+    ));
+    router_state.telemetry().set_slow_threshold(0);
+    router_state.telemetry().set_trace_sample(1);
+    assert_eq!(router_state.check_backends_now(), 1);
+    let router = Server::bind_with(small_config(), Arc::clone(&router_state))
+        .expect("bind router")
+        .spawn();
+    let addr = router.addr().to_string();
+
+    let response = raw_request(
+        &addr,
+        &format!(
+            "GET /closed_form?k=3&f=1 HTTP/1.1\r\nHost: x\r\n{TRACE_HEADER}: 00000000cafef00d\r\nConnection: close\r\n\r\n"
+        ),
+    );
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+
+    // the router's slow log holds the request with its span breakdown
+    let (status, slow) = fetch_json(&addr, "GET", "/debug/slow", None).unwrap();
+    assert_eq!(status, 200);
+    let entry = slow
+        .get("entries")
+        .and_then(Value::as_array)
+        .and_then(|entries| {
+            entries
+                .iter()
+                .find(|e| e.get("trace").and_then(Value::as_str) == Some("00000000cafef00d"))
+        })
+        .unwrap_or_else(|| panic!("slow log misses the request: {}", slow.to_json_string()));
+    assert!(
+        entry
+            .get("spans")
+            .and_then(|s| s.get("backend_wait"))
+            .and_then(Value::as_u64)
+            .is_some(),
+        "{}",
+        entry.to_json_string()
+    );
+
+    // the assembled trace: router spans on top, the backend's own tree
+    // stitched under backend_wait, every span inside its parent
+    let (status, doc) = fetch_json(&addr, "GET", "/debug/trace/00000000cafef00d", None).unwrap();
+    assert_eq!(status, 200, "{}", doc.to_json_string());
+    assert_eq!(
+        doc.get("service").and_then(Value::as_str),
+        Some("raysearch-router")
+    );
+    assert_eq!(
+        doc.get("trace").and_then(Value::as_str),
+        Some("00000000cafef00d")
+    );
+    let root = SpanData::from_json(doc.get("root").expect("root")).expect("root parses");
+    assert_eq!(root.name, "request");
+    assert_nested(&root);
+    assert!(root.leaf_duration_sum() <= root.duration_micros());
+    let wait = root
+        .children
+        .iter()
+        .find(|c| c.name == "backend_wait")
+        .expect("a backend_wait span");
+    let stitched = wait
+        .children
+        .iter()
+        .find(|c| {
+            c.attrs
+                .iter()
+                .any(|(k, v)| k == "service" && v == "raysearchd")
+        })
+        .unwrap_or_else(|| panic!("no stitched backend tree: {}", wait.to_json()));
+    assert_eq!(stitched.name, "request");
+    assert!(!stitched.children.is_empty(), "{}", stitched.to_json());
+
+    // the index lists the id; an unknown id is a JSON 404
+    let (status, index) = fetch_json(&addr, "GET", "/debug/trace", None).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(index.get("sample_one_in").and_then(Value::as_u64), Some(1));
+    assert!(index
+        .get("traces")
+        .and_then(Value::as_array)
+        .is_some_and(|ids| ids.iter().any(|v| v.as_str() == Some("00000000cafef00d"))));
+    let (status, doc) = fetch_json(&addr, "GET", "/debug/trace/fffffffffffffffe", None).unwrap();
+    assert_eq!(status, 404);
+    assert!(doc.get("error").is_some());
 
     router.shutdown();
     backend.shutdown();

@@ -1,7 +1,7 @@
 //! Integration tests: a real `raysearchd` server on an ephemeral port,
 //! exercised over actual TCP sockets — endpoints, cache behaviour
 //! (verified through `/stats` counters), canonicalized keys, error
-//! paths, keep-alive, and the probe.
+//! paths, keep-alive, and the compile tier beneath the result cache.
 
 use raysearch_service::client::{fetch_json, HttpClient};
 use raysearch_service::server::{Server, ServerConfig, ServerHandle};
@@ -540,13 +540,95 @@ fn large_fleet_evaluate_end_to_end() {
 }
 
 #[test]
-fn probe_passes_against_a_fresh_server() {
+fn rejected_montecarlo_requests_never_enter_the_cache() {
+    use raysearch_service::telemetry::stat;
+
     let (handle, addr) = spawn_server();
-    let lines = raysearch_service::probe::run_probe(&addr).expect("probe passes");
+    let cache = |name: &str| {
+        let (_, doc) = fetch_json(&addr, "GET", "/stats", None).unwrap();
+        stat(&doc, &format!("cache.{name}")).unwrap_or_else(|| panic!("no cache.{name}"))
+    };
+
+    // an invalid fault model is rejected before the cache: twice, and
+    // no cache counter moves
+    for _ in 0..2 {
+        let (status, doc) = fetch_json(
+            &addr,
+            "POST",
+            "/montecarlo",
+            Some(r#"{"m":2,"k":3,"f":1,"faults":"bogus"}"#),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{}", doc.to_json_string());
+        assert!(doc.get("cached").is_none());
+    }
+    assert_eq!((cache("hits"), cache("misses")), (0, 0));
+
+    // iid p = 1.0 silences every robot: a valid scenario whose
+    // all-undetected outcome is a 400 after computing, so each identical
+    // retry recomputes (one miss each) and nothing is stored
+    for _ in 0..2 {
+        let (status, doc) = fetch_json(
+            &addr,
+            "POST",
+            "/montecarlo",
+            Some(r#"{"m":2,"k":3,"f":1,"faults":"iid","p":1.0,"samples":100,"seed":5}"#),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{}", doc.to_json_string());
+        assert!(doc.get("cached").is_none());
+        assert!(doc
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("undetected")));
+    }
     assert_eq!(
-        lines.len(),
-        18,
-        "probe should pass all 18 checks: {lines:?}"
+        (cache("hits"), cache("misses"), cache("entries")),
+        (0, 2, 0)
     );
+    handle.shutdown();
+}
+
+#[test]
+fn trivial_regime_fleets_serve_ratio_one_and_share_a_compiled_fleet_across_f() {
+    use raysearch_service::telemetry::stat;
+
+    let (handle, addr) = spawn_server();
+    let ratio_of = |doc: &Value| {
+        result_of(doc)
+            .get("report")
+            .and_then(|r| r.get("ratio"))
+            .and_then(Value::as_f64)
+    };
+    let counter = |name: &str| {
+        let (_, doc) = fetch_json(&addr, "GET", "/stats", None).unwrap();
+        stat(&doc, name).unwrap_or_else(|| panic!("/stats has no {name}"))
+    };
+
+    // k >= m(f+1): some robot sits on every ray, so the ratio is 1
+    let (status, doc) = fetch_json(
+        &addr,
+        "POST",
+        "/evaluate",
+        Some(r#"{"m":2,"k":512,"f":1,"horizon":1e6}"#),
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{}", doc.to_json_string());
+    assert_eq!(ratio_of(&doc), Some(1.0));
+
+    // the compile tier is keyed by geometry, not by fault budget: two
+    // f values at one (m, k, horizon) are two result-cache entries but
+    // one compiled zone fleet
+    let (hits, misses) = (counter("compile_hits"), counter("compile_misses"));
+    for (f, compile_hits) in [(1, hits), (3, hits + 1)] {
+        let body = format!(r#"{{"m":2,"k":768,"f":{f},"horizon":1e6}}"#);
+        let (status, doc) = fetch_json(&addr, "POST", "/evaluate", Some(&body)).unwrap();
+        assert_eq!(status, 200, "{}", doc.to_json_string());
+        assert_eq!(doc.get("cached").and_then(Value::as_bool), Some(false));
+        assert_eq!(ratio_of(&doc), Some(1.0));
+        assert_eq!(counter("compile_hits"), compile_hits, "after f = {f}");
+    }
+    assert_eq!(counter("compile_misses"), misses + 1);
+    assert!(counter("compile_entries") > 0);
     handle.shutdown();
 }
