@@ -4,9 +4,9 @@
 //! the exact evaluator and the closed form is governed by `η = q/k`,
 //! and the near-majority-faulty instances studied by the related work
 //! (Bonato et al. 2020; Czyzowicz et al.) live at large `k` with
-//! `f ≈ k/2` on the line. Before the log-domain numeric core this whole
-//! regime was unreachable — turn points overflowed `f64` from
-//! `k ≈ 139` — so E12 is the workload that the overflow fix opens: for
+//! `f ≈ k/2` on the line. Linear tours cannot reach this regime — their
+//! turn points overflow `f64` from `k ≈ 139` — so E12 is the workload
+//! the streamed fleet compiler opens: for
 //! each fleet size it sweeps `f` across the searchable band
 //! (`η` from just above 1 to the classic 2) and pins the measured exact
 //! ratio against `Λ(η)` at a deep horizon.
@@ -46,8 +46,8 @@ pub struct Row {
     pub eta: f64,
     /// The evaluation horizon.
     pub horizon: f64,
-    /// Measured sup of `τ(x)/x` of the optimal fleet (exact evaluator,
-    /// log-domain pipeline).
+    /// Measured sup of `τ(x)/x` of the optimal fleet (exact evaluator
+    /// over the streamed fleet).
     pub measured: f64,
     /// Closed form `Λ(η) = A(2, k, f)` (Theorem 6).
     pub closed_form: f64,
@@ -95,7 +95,7 @@ pub fn campaign_with_memo(max_k: u32, horizon: f64, memo: Arc<CompileMemo>) -> C
             debug_assert!(matches!(instance.regime(), Regime::Searchable { .. }));
             let closed_form = a_rays(2, k, f).expect("E12 sweeps only the searchable band");
             let report = evaluate_optimal_cached(&cell_memo, 2, k, f, horizon)
-                .expect("the log-domain pipeline is finite at any fleet size");
+                .expect("the streamed fleet is finite at any fleet size");
             Row {
                 m: 2,
                 k,

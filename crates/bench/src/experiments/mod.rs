@@ -120,7 +120,7 @@ fn visit_experiment(id: &str, cfg: &Config, v: &mut impl CampaignVisitor) -> boo
         }
         "e11" => v.visit(e11_montecarlo::campaign(cfg.mc_samples, cfg.seed, 1e3).threads(t)),
         // the deep horizon is the point: E12 exists to exercise the
-        // asymptotic regime the log-domain core opened (its k axis is
+        // asymptotic regime linear tours cannot reach (its k axis is
         // FLEET_SIZES capped at max(max_k, 128), so default suite runs
         // stay on the cheap k = 128 slice)
         "e12" => v.visit(e12_large_fleet::campaign(cfg.max_k, 1e12).threads(t)),

@@ -51,7 +51,6 @@ pub mod closed_form;
 pub mod growth;
 pub mod instance;
 pub mod literature;
-pub mod logscaled;
 pub mod numeric;
 pub mod strategy_math;
 
@@ -61,5 +60,4 @@ pub use closed_form::{
 pub use error::BoundsError;
 pub use growth::{delta_growth, lemma4_argmax, lemma5_min_ratio, potential_poly};
 pub use instance::{LineInstance, RayInstance, Regime};
-pub use logscaled::LogScaled;
 pub use strategy_math::{cyclic_ratio, gamma_factor, optimal_alpha};

@@ -6,8 +6,9 @@
 //! same structure: each robot's first-visit function on each ray, a run
 //! of slope-1 pieces `c + x`. [`CompiledFleet`] is the one place that
 //! structure lives, whichever form the fleet arrived in: linear tours,
-//! log-domain tours, or a line fleet read as two-ray tours
-//! ([`LineItinerary::to_two_ray_tour`](raysearch_sim::LineItinerary::to_two_ray_tour)).
+//! a line fleet read as two-ray tours
+//! ([`LineItinerary::to_two_ray_tour`](raysearch_sim::LineItinerary::to_two_ray_tour)),
+//! or the optimal fleet's turn stream ([`CyclicExponential::turns`]).
 //!
 //! * [`CompiledFleet`] — the arena-backed artifact: one contiguous piece
 //!   arena per ray, holding every robot's pieces on that ray robot by
@@ -34,7 +35,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use raysearch_bounds::{RayInstance, Regime};
-use raysearch_sim::{LogTourItinerary, RobotId, TourItinerary};
+use raysearch_sim::{RobotId, TourItinerary};
 use raysearch_strategies::{CyclicExponential, RayStrategy, ZonePartition};
 
 use crate::canon::CanonF64;
@@ -44,9 +45,9 @@ use crate::CoreError;
 /// One slope-1 piece of a first-visit function: targets in `(lo, hi]`
 /// are first visited at time `c + x`.
 ///
-/// `hi = ∞` marks a *straddling* piece compiled from a log-domain tour
-/// whose true right end lies beyond linear `f64`; its `c` is still
-/// exact, and `hi` only ever participates in `x ≤ hi` comparisons.
+/// `hi = ∞` marks a *straddling* piece compiled from a streamed turn
+/// that saturated to `∞` past linear `f64`; its `c` is still exact, and
+/// `hi` only ever participates in `x ≤ hi` comparisons.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FirstVisitPiece {
     /// Left end of the covered interval (exclusive).
@@ -118,10 +119,10 @@ pub(crate) struct Transition {
 /// No transition lowers a rank: `enter ≥ leave` unless the plan ends.
 /// The builder sets a piece's constant to twice the running sum of the
 /// robot's turns before its leg, and no turn is negative (`Excursion`
-/// and `LogExcursion` take positive turns only), so a robot's constants
-/// never decrease along its run; ranks follow the bit order of
-/// non-negative constants. The evaluator's forward-only order-statistic
-/// cursor rests on this.
+/// takes positive turns only, and the turn stream yields exponentials),
+/// so a robot's constants never decrease along its run; ranks follow
+/// the bit order of non-negative constants. The evaluator's
+/// forward-only order-statistic cursor rests on this.
 ///
 /// Its two sorts take the pieces in [`column_order`], which is already
 /// sorted on a cyclic exponential fleet.
@@ -370,12 +371,12 @@ impl CompiledFleet {
 /// ```
 /// use raysearch_core::compiled::FleetBuilder;
 /// use raysearch_sim::RobotId;
-/// use raysearch_strategies::CyclicExponential;
+/// use raysearch_strategies::{CyclicExponential, RayStrategy};
 ///
 /// let s = CyclicExponential::optimal(2, 3, 1)?;
 /// let mut b = FleetBuilder::new(2, 100.0)?;
 /// for r in 0..3 {
-///     b.push_log_tour(&s.log_tour(RobotId(r), 100.0)?)?;
+///     b.push_tour(&s.tour(RobotId(r), 100.0)?)?;
 /// }
 /// let fleet = b.finish();
 /// assert_eq!(fleet.num_robots(), 3);
@@ -414,24 +415,8 @@ impl FleetBuilder {
         })
     }
 
-    /// Compiles one robot's linear tour and appends it (truncated at
-    /// the cap, like [`FleetBuilder::push_log_tour`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetBuilder::push_log_tour`].
-    pub fn push_tour(&mut self, tour: &TourItinerary) -> Result<(), CoreError> {
-        let excursions = tour.excursions().iter();
-        self.push_robot(tour.num_rays(), excursions.map(|e| (e.ray.index(), e.turn)))
-    }
-
-    /// Compiles one robot's log-domain tour and appends it.
-    ///
-    /// Turns are extracted to linear `f64` one excursion at a time, so
-    /// the pieces are bit-identical to those of the linear tour wherever
-    /// that tour exists. The overflowing post-horizon padding tail of a
-    /// large fleet is never materialized: compilation stops once every
-    /// ray has its straddling piece.
+    /// Compiles one robot's linear tour and appends it, truncated at
+    /// the cap.
     ///
     /// # Errors
     ///
@@ -441,12 +426,9 @@ impl FleetBuilder {
     /// `f64::MAX`, the turning mass ahead of a straddling leg can exceed
     /// linear range, and answering with a saturated `∞` would be a
     /// silent wrong answer. A failed push leaves the builder as it was.
-    pub fn push_log_tour(&mut self, tour: &LogTourItinerary) -> Result<(), CoreError> {
+    pub fn push_tour(&mut self, tour: &TourItinerary) -> Result<(), CoreError> {
         let excursions = tour.excursions().iter();
-        self.push_robot(
-            tour.num_rays(),
-            excursions.map(|e| (e.ray.index(), e.turn.to_f64())),
-        )
+        self.push_robot(tour.num_rays(), excursions.map(|e| (e.ray.index(), e.turn)))
     }
 
     /// The piece compiler: one pass over a robot's `(ray, turn)`
@@ -455,10 +437,11 @@ impl FleetBuilder {
     /// constant is twice the turning mass spent before that leg. Only
     /// pieces with `lo < cap` are kept — the only ones a query in
     /// `(0, cap]` can consult — and the pass ends once every ray has
-    /// reached the cap, so an endless stream must reach the cap on every
-    /// ray. It is a single pass because a per-ray scan would walk the
-    /// `O(m·f)`-excursion tour `m` times.
-    fn push_robot(
+    /// reached the cap, so a turn stream's padding past the cap is never
+    /// read. It is a single pass because a per-ray scan would walk the
+    /// `O(m·f)`-excursion tour `m` times. Errors as
+    /// [`FleetBuilder::push_tour`].
+    pub(crate) fn push_robot(
         &mut self,
         num_rays: usize,
         excursions: impl Iterator<Item = (usize, f64)>,
@@ -541,10 +524,10 @@ impl FleetBuilder {
 ///
 /// * Searchable regime `f < k < m(f+1)`: the [`CyclicExponential`]
 ///   fleet, keyed `Cyclic { m, k, α, cap: horizon }`. Each robot's
-///   [`turns`](CyclicExponential::turns) stream into the piece compiler
-///   until every ray reaches the cap, so no tour is built and fleets of
-///   thousands of robots compile at deep horizons; the sweep plans'
-///   sorts then see sorted input.
+///   [`turns`](CyclicExponential::turns) up to the cap stream into the
+///   piece compiler, which stops them once every ray reaches the cap,
+///   so no tour is built and fleets of thousands of robots compile at
+///   deep horizons; the sweep plans' sorts then see sorted input.
 /// * Trivial regime `k ≥ m(f+1)`: the saturating [`ZonePartition`],
 ///   keyed `Zone { m, k, cap: 4·horizon }`; its tours depend only on
 ///   `(m, k, cap)`, so every `f` shares the artifact.
@@ -589,7 +572,7 @@ pub fn optimal_fleet<C: CompileCache>(
         // which stops them once every ray has reached the cap
         let mut builder = FleetBuilder::new(m as usize, horizon)?;
         for r in 0..k as usize {
-            let turns = strategy.turns(RobotId(r))?;
+            let turns = strategy.turns(RobotId(r), horizon)?;
             builder.push_robot(m as usize, turns.map(|(ray, turn)| (ray.index(), turn)))?;
         }
         Ok(builder.finish())
@@ -812,16 +795,10 @@ mod tests {
         let mut b = FleetBuilder::new(2, 10.0).unwrap();
         let three_ray = CyclicExponential::optimal(3, 4, 1)
             .unwrap()
-            .log_tour(RobotId(0), 10.0)
+            .tour(RobotId(0), 10.0)
             .unwrap();
-        assert!(b.push_log_tour(&three_ray).is_err());
-        let three_ray_linear = CyclicExponential::optimal(3, 4, 1)
-            .unwrap()
-            .fleet_tours(10.0)
-            .unwrap()
-            .remove(0);
-        assert!(b.push_tour(&three_ray_linear).is_err());
-        assert!(CompiledFleet::from_tours(2, 10.0, [three_ray_linear]).is_err());
+        assert!(b.push_tour(&three_ray).is_err());
+        assert!(CompiledFleet::from_tours(2, 10.0, [three_ray]).is_err());
     }
 
     #[test]
@@ -836,7 +813,7 @@ mod tests {
             // the reference path: the full padded tour, compiled fresh
             let mut fresh = FleetBuilder::new(3, cap).unwrap();
             fresh
-                .push_log_tour(&s.log_tour(RobotId(r), cap * 4.0).unwrap())
+                .push_tour(&s.tour(RobotId(r), cap * 4.0).unwrap())
                 .unwrap();
             let fresh = fresh.finish();
             for ray in 0..3 {
@@ -896,8 +873,7 @@ mod tests {
         let s = CyclicExponential::optimal(2, 3, 1).unwrap();
         let mut b = FleetBuilder::new(2, 100.0).unwrap();
         for r in 0..3 {
-            b.push_log_tour(&s.log_tour(RobotId(r), 100.0).unwrap())
-                .unwrap();
+            b.push_tour(&s.tour(RobotId(r), 100.0).unwrap()).unwrap();
         }
         b.finish().first_visit(0, 2, 5.0);
     }
@@ -1168,7 +1144,8 @@ mod tests {
         let err = (0..149)
             .find_map(|r| {
                 let before = b.fleet.clone();
-                let result = b.push_log_tour(&s.log_tour(RobotId(r), cap).unwrap());
+                let turns = s.turns(RobotId(r), cap).unwrap();
+                let result = b.push_robot(2, turns.map(|(ray, turn)| (ray.index(), turn)));
                 pushed += usize::from(result.is_ok());
                 result.err().map(|e| (e, before))
             })

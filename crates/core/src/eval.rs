@@ -73,10 +73,11 @@ impl EvalReport {
 /// against the crash adversary.
 ///
 /// In the searchable regime `f < k < m(f+1)` the fleet is the cyclic
-/// exponential strategy, compiled from log-domain tours — turn points are
-/// never materialized in linear space, so fleets of thousands of robots
-/// at deep horizons evaluate to finite ratios (the linear pipeline
-/// overflowed to an error from `k ≈ 139`). In the trivial regime
+/// exponential strategy, compiled from its turn stream, which the
+/// compiler stops at the horizon — the padding turns that saturate past
+/// `f64::MAX` are never read, so fleets of thousands of robots at deep
+/// horizons evaluate to finite ratios (linear tours overflow to an error
+/// from `k ≈ 139`). In the trivial regime
 /// `k ≥ m(f+1)` the fleet is the saturating
 /// [`ZonePartition`](raysearch_strategies::ZonePartition) (ratio exactly
 /// 1, matching [`Regime::Trivial`](raysearch_bounds::Regime)).
@@ -328,18 +329,13 @@ impl RayEvaluator {
     /// # Example
     ///
     /// ```
-    /// use raysearch_core::{compiled::FleetBuilder, RayEvaluator};
-    /// use raysearch_sim::RobotId;
-    /// use raysearch_strategies::CyclicExponential;
+    /// use raysearch_core::compiled::{optimal_fleet, NoCache};
+    /// use raysearch_core::RayEvaluator;
     ///
-    /// // k = 199 on the line: the linear fleet overflows, the log-domain
-    /// // tours compile and evaluate to the closed form
-    /// let strat = CyclicExponential::optimal(2, 199, 99)?;
-    /// let mut builder = FleetBuilder::new(2, 1e5)?;
-    /// for r in 0..199 {
-    ///     builder.push_log_tour(&strat.log_tour(RobotId(r), 1e5)?)?;
-    /// }
-    /// let report = RayEvaluator::new(2, 99, 1.0, 1e5)?.evaluate(&builder.finish())?;
+    /// // k = 199 on the line: the linear fleet overflows, the streamed
+    /// // turns compile and evaluate to the closed form
+    /// let fleet = optimal_fleet(&NoCache, 2, 199, 99, 1e5)?;
+    /// let report = RayEvaluator::new(2, 99, 1.0, 1e5)?.evaluate(&fleet)?;
     /// let theory = raysearch_bounds::a_rays(2, 199, 99)?;
     /// assert!((report.ratio - theory).abs() / theory < 1e-6);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -633,17 +629,13 @@ mod tests {
     ];
 
     /// The optimal `(m, k, f)` fleet's artifact by every route that
-    /// exists at `horizon`: log-domain tours first, then
-    /// (unless linear tours overflow) linear tours and, on the line,
-    /// line itineraries read as two-ray tours.
+    /// exists at `horizon`: [`optimal_fleet`]'s streamed turns first,
+    /// then (unless linear tours overflow) linear tours and, on the
+    /// line, line itineraries read as two-ray tours.
     fn artifact_routes(m: u32, k: u32, f: u32, horizon: f64) -> Vec<(&'static str, CompiledFleet)> {
         let strat = CyclicExponential::optimal(m, k, f).unwrap();
-        let mut log = FleetBuilder::new(m as usize, horizon).unwrap();
-        for r in 0..k as usize {
-            log.push_log_tour(&strat.log_tour(RobotId(r), horizon).unwrap())
-                .unwrap();
-        }
-        let mut fleets = vec![("push_log_tour", log.finish())];
+        let streamed = optimal_fleet(&NoCache, m, k, f, horizon).unwrap();
+        let mut fleets = vec![("optimal_fleet", (*streamed).clone())];
         match strat.fleet_tours(4.0 * horizon) {
             Ok(tours) => {
                 fleets.push(("push_tour", tour_fleet(m, &tours, horizon)));
@@ -666,7 +658,7 @@ mod tests {
     }
 
     /// Linear tours and line itineraries read as two-ray tours compile
-    /// to the same pieces as log-domain tours, and evaluate
+    /// to the same pieces as the streamed turns, and evaluate
     /// bit-identically to them.
     #[test]
     fn evaluate_log_is_bit_identical_to_evaluate() {
@@ -683,28 +675,22 @@ mod tests {
         }
     }
 
-    /// The memoized optimal fleet, streamed from each robot's turns, is
-    /// the fleet compiled from log-domain tours and, cold and warm,
-    /// evaluates bit-identically to it, including at k = 149 where no
-    /// linear fleet exists.
+    /// The memoized optimal fleet, cold and warm, evaluates
+    /// bit-identically to the fleet of every route, including at
+    /// k = 149 where only the streamed one exists.
     #[test]
     fn evaluate_compiled_is_bit_identical_to_evaluate_log() {
         let horizon = 1e4;
         let memo = CompileMemo::new();
         for (m, k, f) in ROUTE_CASES {
             let fleets = artifact_routes(m, k, f, horizon);
-            let reference = RayEvaluator::new(m as usize, f, 1.0, horizon)
-                .unwrap()
-                .evaluate(&fleets[0].1)
-                .unwrap();
-            let streamed = optimal_fleet(&NoCache, m, k, f, horizon).unwrap();
-            assert_eq!(
-                *streamed, fleets[0].1,
-                "({m},{k},{f}): pieces or plans differ"
-            );
+            let evaluator = RayEvaluator::new(m as usize, f, 1.0, horizon).unwrap();
             for pass in ["cold", "warm"] {
                 let r = evaluate_optimal_cached(&memo, m, k, f, horizon).unwrap();
-                assert_same_report(&format!("({m},{k},{f}) {pass}"), &r, &reference);
+                for (route, fleet) in &fleets {
+                    let at = format!("({m},{k},{f}) {pass} against {route}");
+                    assert_same_report(&at, &r, &evaluator.evaluate(fleet).unwrap());
+                }
             }
         }
     }
@@ -715,7 +701,7 @@ mod tests {
         let mut builder = FleetBuilder::new(3, 100.0).unwrap();
         for r in 0..2usize {
             builder
-                .push_log_tour(&strat.log_tour(RobotId(r), 100.0).unwrap())
+                .push_tour(&strat.tour(RobotId(r), 100.0).unwrap())
                 .unwrap();
         }
         let fleet = builder.finish();
@@ -883,28 +869,18 @@ mod tests {
     /// One robot per ray count whose last excursion is so long that its
     /// piece straddles past linear `f64`: `hi = ∞`, and it never leaves.
     fn straddling_fleet(m: usize, cap: f64) -> CompiledFleet {
-        use raysearch_bounds::LogScaled;
-        use raysearch_sim::{LogExcursion, LogTourItinerary, RayId};
         let mut builder = FleetBuilder::new(m, cap).unwrap();
         for robot in 0..m {
-            let mut excursions: Vec<LogExcursion> = (0..m)
-                .map(|ray| {
-                    let turn = 3.0 + (robot * m + ray) as f64;
-                    LogExcursion::new(RayId::new(ray, m).unwrap(), LogScaled::from_f64(turn))
-                })
-                .collect::<Result<_, _>>()
-                .unwrap();
+            let mut turns: Vec<(usize, f64)> = (0..m)
+                .map(|ray| (ray, 3.0 + (robot * m + ray) as f64))
+                .collect();
             // every ray but the robot's own is walked past the cap, then
-            // its own ray gets the straddling leg
-            for ray in (0..m).filter(|&ray| ray != robot) {
-                let far = LogScaled::from_f64(2.0 * cap + ray as f64);
-                excursions.push(LogExcursion::new(RayId::new(ray, m).unwrap(), far).unwrap());
-            }
-            let huge = LogScaled::from_ln(800.0 + robot as f64);
-            excursions.push(LogExcursion::new(RayId::new(robot, m).unwrap(), huge).unwrap());
-            builder
-                .push_log_tour(&LogTourItinerary::new(m, excursions).unwrap())
-                .unwrap();
+            // its own ray gets the straddling leg: a turn saturated to ∞,
+            // as the turn stream yields past f64::MAX
+            let far = (0..m).filter(|&ray| ray != robot);
+            turns.extend(far.map(|ray| (ray, 2.0 * cap + ray as f64)));
+            turns.push((robot, f64::INFINITY));
+            builder.push_robot(m, turns.into_iter()).unwrap();
         }
         builder.finish()
     }

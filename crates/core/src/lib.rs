@@ -35,7 +35,7 @@
 //!   integer-only percentile reads ([`HistogramSnapshot`]), and the
 //!   [`splitmix64`] mixer trace ids are minted from;
 //! * [`trace`] — hierarchical request tracing: per-request span trees
-//!   ([`SpanData`]) captured through scoped guards ([`trace::ScopedSpan`]),
+//!   ([`SpanData`]) recorded through a [`TraceBuilder`],
 //!   a lock-sharded bounded ring of completed traces keyed by the 64-bit
 //!   trace id ([`TraceRecorder`], deterministic SplitMix64 1-in-N
 //!   sampling), and Chrome trace-event export

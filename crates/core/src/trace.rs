@@ -10,10 +10,10 @@
 //!   microseconds relative to the trace root, `key=value` attributes and
 //!   child spans. Renders to JSON with a fixed field order and parses
 //!   back byte-identically ([`SpanData::to_json`] / [`SpanData::from_json`]).
-//! * [`TraceBuilder`] / [`ScopedSpan`] — per-request span capture. The
-//!   builder lives on the request's stack (one per in-flight request, so
-//!   worker threads never contend while recording); the RAII guard stamps
-//!   start/end offsets around a scope.
+//! * [`TraceBuilder`] — per-request span capture. The builder lives on
+//!   the request's stack (one per in-flight request, so worker threads
+//!   never contend while recording) and takes each finished span with
+//!   its start/end offsets.
 //! * [`TraceRecorder`] — the shared sink: a lock-sharded bounded ring of
 //!   completed traces keyed by the 64-bit trace id, plus the
 //!   deterministic SplitMix64 1-in-N sampling counter. Slow requests
@@ -261,18 +261,6 @@ impl TraceBuilder {
         self.spans.push(span);
     }
 
-    /// Opens a scoped span; the returned guard records `name` with the
-    /// enclosing offsets when dropped.
-    pub fn scoped(&mut self, name: &'static str) -> ScopedSpan<'_> {
-        let start_micros = self.elapsed_micros();
-        ScopedSpan {
-            builder: self,
-            name,
-            start_micros,
-            attrs: Vec::new(),
-        }
-    }
-
     /// Closes the trace: returns the root span covering `[0, now]` with
     /// every recorded span as a direct child, in recording order.
     #[must_use]
@@ -285,37 +273,6 @@ impl TraceBuilder {
             attrs,
             children: self.spans,
         }
-    }
-}
-
-/// RAII guard for one span: stamps the end offset and records itself
-/// into the owning [`TraceBuilder`] on drop.
-#[derive(Debug)]
-pub struct ScopedSpan<'a> {
-    builder: &'a mut TraceBuilder,
-    name: &'static str,
-    start_micros: u64,
-    attrs: Vec<(String, String)>,
-}
-
-impl ScopedSpan<'_> {
-    /// Attaches a `key=value` attribute to the span.
-    pub fn attr(&mut self, key: &str, value: &str) {
-        self.attrs.push((key.to_owned(), value.to_owned()));
-    }
-}
-
-impl Drop for ScopedSpan<'_> {
-    fn drop(&mut self) {
-        let end_micros = self.builder.elapsed_micros();
-        let span = SpanData {
-            name: self.name.to_owned(),
-            start_micros: self.start_micros,
-            end_micros,
-            attrs: std::mem::take(&mut self.attrs),
-            children: Vec::new(),
-        };
-        self.builder.record(span);
     }
 }
 
@@ -579,13 +536,11 @@ mod tests {
     #[test]
     fn scoped_guards_record_ordered_disjoint_spans() {
         let mut builder = TraceBuilder::start();
-        {
-            let mut parse = builder.scoped("parse");
-            parse.attr("bytes", "12");
-        }
-        {
-            let _evaluate = builder.scoped("evaluate");
-        }
+        let mut parse = SpanData::leaf("parse", 0, builder.elapsed_micros());
+        parse.attrs = attrs(&[("bytes", "12")]);
+        builder.record(parse);
+        let start = builder.elapsed_micros();
+        builder.record(SpanData::leaf("evaluate", start, builder.elapsed_micros()));
         let root = builder.finish("request", attrs(&[("path", "/evaluate")]));
         assert_eq!(root.name, "request");
         assert_eq!(root.start_micros, 0);

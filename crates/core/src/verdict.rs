@@ -82,9 +82,10 @@ pub fn verify_tightness(
 /// [`CompiledFleet`](crate::CompiledFleet) artifact as
 /// [`evaluate_optimal_cached`](crate::evaluate_optimal_cached) at the
 /// same horizon, so verdicts piggyback on artifacts already compiled by
-/// evaluations (and vice versa). The ORC falsification side still walks
-/// the full log tours: its turn prefix is governed by the `μ·horizon`
-/// mass cutoff, not the first-visit piece cap.
+/// evaluations (and vice versa). The ORC falsification side walks each
+/// robot's [`CyclicExponential::turns`] itself: its turn prefix is
+/// governed by the `μ·horizon` mass cutoff, not the first-visit piece
+/// cap.
 ///
 /// # Errors
 ///
@@ -109,8 +110,8 @@ pub fn verify_tightness_cached<C: CompileCache>(
     let lambda_below = theory * (1.0 - eps);
     let mu_below = lambda_to_mu(lambda_below)?;
 
-    // Both checks ride the exact evaluator's overflow-proof log-domain
-    // path (linear tours stop existing from k ≈ 139).
+    // Both checks read the turn stream, so they run at any fleet size
+    // (linear tours stop existing from k ≈ 139).
     let sum_cutoff = mu_below * horizon;
 
     // (2) measure the upper bound exactly, through the shared artifact:
@@ -122,14 +123,12 @@ pub fn verify_tightness_cached<C: CompileCache>(
     // `sum_before/μ` can still land in `[1, horizon]`
     let mut per_robot = Vec::with_capacity(k as usize);
     for r in 0..k as usize {
-        let tour = strategy.log_tour(RobotId(r), horizon * 4.0)?;
         let mut turns = Vec::new();
         let mut sum_before = 0.0f64;
-        for e in tour.excursions() {
+        for (_, turn) in strategy.turns(RobotId(r), horizon * 4.0)? {
             if sum_before > sum_cutoff {
                 break;
             }
-            let turn = e.turn.to_f64();
             // warm-up turns of very large fleets underflow linear f64;
             // their true mass is below one ulp of any later sum and
             // their intervals end far under distance 1, so they cannot
@@ -213,7 +212,7 @@ mod tests {
     #[test]
     fn large_fleet_verdict_goes_through_the_log_pipeline() {
         // k = 256 has no linear fleet (turn points overflow f64); both
-        // verdict sides must still run, sharing the log tours
+        // verdict sides must still run on the turn stream
         let r = verify_tightness(2, 256, 128, 1e6, 1e-2).unwrap();
         let expect = raysearch_bounds::a_rays(2, 256, 128).unwrap();
         assert!(r.measured_upper.is_finite());

@@ -1,6 +1,6 @@
-//! Regression suite for the log-domain numeric core: the fleet sizes
-//! that overflowed the linear pipeline to an error (`k ≳ 139` at deep
-//! horizons) must now evaluate to finite ratios in closed-form
+//! Regression suite for the streamed fleet compiler: the fleet sizes
+//! whose linear tours overflow to an error (`k ≳ 139` at deep
+//! horizons) must evaluate to finite ratios in closed-form
 //! agreement, monotonically in `k`, with the trivial regime and the
 //! horizon-overflow guard pinned alongside.
 //!

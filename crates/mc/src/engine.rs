@@ -29,8 +29,8 @@ use crate::{visits, McError};
 
 /// Largest fleet the engine accepts (fault draws are fixed-width
 /// [`SilentMask`](crate::SilentMask) bitsets of this many bits, and the
-/// fleet compiles through the log-domain tour pipeline, so turn-point
-/// overflow no longer caps `k`).
+/// fleet compiles from its turn stream, so turn-point overflow does not
+/// cap `k`).
 pub const MAX_FLEET: u32 = 4096;
 
 /// A fully specified average-case experiment: the instance `(m, k, f)`

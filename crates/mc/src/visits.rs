@@ -40,7 +40,7 @@ pub(crate) fn detection_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raysearch_core::{optimal_fleet, FleetBuilder, NoCache, RayEvaluator};
+    use raysearch_core::{optimal_fleet, NoCache, RayEvaluator};
     use raysearch_strategies::{CyclicExponential, RayStrategy};
 
     use crate::SilentMask;
@@ -100,20 +100,16 @@ mod tests {
         let strat = CyclicExponential::optimal(3, 4, 1).unwrap();
         let linear =
             CompiledFleet::from_tours(3, 125.0, strat.fleet_tours(500.0).unwrap()).unwrap();
-        let mut log = FleetBuilder::new(3, 125.0).unwrap();
-        for tour in strat.fleet_log_tours(500.0).unwrap() {
-            log.push_log_tour(&tour).unwrap();
-        }
-        let log = log.finish();
-        assert_eq!(log.num_robots(), 4);
-        assert_eq!(log.num_rays(), 3);
+        let streamed = optimal_fleet(&NoCache, 3, 4, 1, 125.0).unwrap();
+        assert_eq!(streamed.num_robots(), 4);
+        assert_eq!(streamed.num_rays(), 3);
         let mut times = Vec::new();
         for ray in 0..3 {
             for &x in &[1.0, 1.5, 7.3, 41.0, 124.9] {
                 for robot in 0..4 {
                     assert_eq!(
                         linear.first_visit(robot, ray, x).map(f64::to_bits),
-                        log.first_visit(robot, ray, x).map(f64::to_bits),
+                        streamed.first_visit(robot, ray, x).map(f64::to_bits),
                         "robot {robot}, ray {ray}, x {x}"
                     );
                 }
@@ -124,14 +120,14 @@ mod tests {
                     draw.silent.set(silenced);
                     assert_eq!(
                         detection_time(&linear, &draw, ray, x, &mut times).map(f64::to_bits),
-                        detection_time(&log, &draw, ray, x, &mut times).map(f64::to_bits),
+                        detection_time(&streamed, &draw, ray, x, &mut times).map(f64::to_bits),
                         "robot {silenced} silent, ray {ray}, x {x}"
                     );
                 }
             }
             assert_eq!(
                 linear.boundaries_on_ray(ray, 1.0, 125.0),
-                log.boundaries_on_ray(ray, 1.0, 125.0)
+                streamed.boundaries_on_ray(ray, 1.0, 125.0)
             );
         }
     }
@@ -158,18 +154,15 @@ mod tests {
 
     #[test]
     fn compiled_artifact_table_is_bit_identical_to_the_streamed_one() {
-        // the artifact every sample reads, built from bounded tour
-        // prefixes under the evaluator's key, against full log tours
-        // streamed through a builder at the same cap
+        // the artifact every sample reads, streamed from each robot's
+        // turns under the evaluator's key, against full linear tours
+        // compiled at the same cap
         let shared = optimal_fleet(&NoCache, 3, 4, 1, 125.0).unwrap();
-        let mut streamed = FleetBuilder::new(3, 125.0).unwrap();
-        for tour in CyclicExponential::optimal(3, 4, 1)
+        let tours = CyclicExponential::optimal(3, 4, 1)
             .unwrap()
-            .fleet_log_tours(500.0)
-            .unwrap()
-        {
-            streamed.push_log_tour(&tour).unwrap();
-        }
-        assert_eq!(*shared, streamed.finish(), "piece-for-piece identical");
+            .fleet_tours(500.0)
+            .unwrap();
+        let linear = CompiledFleet::from_tours(3, 125.0, &tours).unwrap();
+        assert_eq!(*shared, linear, "piece-for-piece identical");
     }
 }

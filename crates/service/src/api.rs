@@ -64,10 +64,10 @@ pub const DEFAULT_CAMPAIGN_MAX_K: u32 = 4;
 /// Hard ceiling for `/campaign`'s `max_k` — a grid request is served
 /// inline by a worker thread, so its size must stay bounded.
 pub const MAX_CAMPAIGN_MAX_K: u32 = 12;
-/// Serving ceiling for `k` on `/evaluate` and `/verdict`. The
-/// log-domain evaluation pipeline is finite at any fleet size (the old
-/// linear pipeline overflowed to an error from `k ≈ 139` at deep
-/// horizons), so this is purely a bounded-work ceiling: compute grows
+/// Serving ceiling for `k` on `/evaluate` and `/verdict`. Fleets
+/// compile from a turn stream stopped at the horizon, which is finite
+/// at any fleet size (linear tours overflow to an error from `k ≈ 139`
+/// at deep horizons), so this is purely a bounded-work ceiling: compute grows
 /// superlinearly in `k`, and one `k = 4096` deep-horizon request is
 /// already seconds of worker time.
 pub const MAX_INSTANCE_K: u32 = 4096;

@@ -56,12 +56,16 @@ struct ChildBackend {
 
 /// A fleet of `raysearchd` child processes on ephemeral ports.
 ///
-/// Dropping the fleet kills and reaps every child.
+/// Dropping the fleet kills and reaps every child and removes their
+/// port files, then the port-file directory if the fleet created it
+/// and nothing else is left in it.
 #[derive(Debug)]
 pub struct BackendFleet {
     bin: PathBuf,
     extra_args: Vec<String>,
     children: Vec<ChildBackend>,
+    /// The port-file directory, if the fleet created it.
+    created_dir: Option<PathBuf>,
 }
 
 impl BackendFleet {
@@ -91,11 +95,13 @@ impl BackendFleet {
         dir: &Path,
         extra_args: &[String],
     ) -> Result<BackendFleet, String> {
+        let created_dir = (!dir.exists()).then(|| dir.to_owned());
         std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
         let mut fleet = BackendFleet {
             bin: bin.to_owned(),
             extra_args: extra_args.to_vec(),
             children: Vec::with_capacity(n),
+            created_dir,
         };
         for i in 0..n {
             let id = format!("backend-{i}");
@@ -204,6 +210,12 @@ impl Drop for BackendFleet {
     fn drop(&mut self) {
         for i in 0..self.children.len() {
             self.kill(i);
+            std::fs::remove_file(&self.children[i].port_file).ok();
+        }
+        // `remove_dir` refuses a directory that still holds anything,
+        // so a caller's files are never touched
+        if let Some(dir) = &self.created_dir {
+            std::fs::remove_dir(dir).ok();
         }
     }
 }

@@ -2,9 +2,10 @@
 //! can break: port files, `raysearch-router --backends N` finding
 //! `raysearchd` beside itself and handing child `i` its `--job-node i`
 //! and the fleet's `--trace-sample` / `--slow-log-micros`, the children
-//! dying with a SIGKILLed router, and `replaygen`'s record, replay,
-//! report and Chrome-export modes. What the endpoints compute is pinned
-//! by the in-process suites.
+//! dying with a SIGKILLed router, `replaygen`'s record, replay, report
+//! and Chrome-export modes, and its fleet's port-file directory going
+//! when it exits. What the endpoints compute is pinned by the
+//! in-process suites.
 //!
 //! Every process gets a null stdin, and every router sits in a guard
 //! that SIGKILLs and reaps it on drop.
@@ -184,13 +185,13 @@ fn a_sigkilled_router_takes_its_backends_down() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs `replaygen` to completion with its fleet's port files under
-/// `dir`.
-fn replaygen(dir: &Path, args: &[&str]) {
+/// Runs `replaygen` to completion in `dir`, with its fleet's port files
+/// under `tmp`.
+fn replaygen(dir: &Path, tmp: &Path, args: &[&str]) {
     let output = Command::new(env!("CARGO_BIN_EXE_replaygen"))
         .args(args)
         .current_dir(dir)
-        .env("TMPDIR", dir)
+        .env("TMPDIR", tmp)
         .env_remove("RAYSEARCHD_BIN")
         .stdin(Stdio::null())
         .output()
@@ -207,12 +208,14 @@ fn replaygen_records_replays_reports_and_exports_chrome_traces() {
     let dir = state_dir("replay");
     replaygen(
         &dir,
+        &dir,
         &["--record", "t.tape", "--requests", "20", "--backends", "2"],
     );
     let tape = Tape::load(&dir.join("t.tape")).expect("load the recorded tape");
     assert_eq!(tape.entries.len(), 20);
 
     replaygen(
+        &dir,
         &dir,
         &[
             "--tape",
@@ -279,4 +282,19 @@ fn replaygen_records_replays_reports_and_exports_chrome_traces() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fleet's port files and the `replaygen-<pid>` directory it made
+/// for them are gone once `replaygen` exits.
+#[test]
+fn replaygen_leaves_nothing_in_its_tmpdir() {
+    let (dir, tmp) = (state_dir("record"), state_dir("tmpdir"));
+    replaygen(&dir, &tmp, &["--record", "t.tape", "--requests", "5"]);
+    let left: Vec<PathBuf> = std::fs::read_dir(&tmp)
+        .expect("read TMPDIR")
+        .map(|entry| entry.expect("TMPDIR entry").path())
+        .collect();
+    assert!(left.is_empty(), "replaygen left {left:?} behind");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&tmp).ok();
 }

@@ -514,8 +514,8 @@ fn post_without_content_length_gets_a_clean_411() {
 #[test]
 fn large_fleet_evaluate_end_to_end() {
     let (handle, addr) = spawn_server();
-    // k = 199 was unservable before the log-domain core (turn points
-    // overflowed to an error); now it serves the closed form exactly
+    // k = 199 has no linear fleet (its turn points overflow to an
+    // error); the streamed fleet serves the closed form exactly
     let body = r#"{"m":2,"k":199,"f":99,"horizon":1e6}"#;
     let (status, doc) = fetch_json(&addr, "POST", "/evaluate", Some(body)).unwrap();
     assert_eq!(status, 200);

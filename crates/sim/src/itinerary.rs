@@ -13,8 +13,6 @@
 //! by an alternating turning-point strategy that λ-covers at least as much,
 //! and any ORC-setting strategy by rounds with a single turn each.
 
-use raysearch_bounds::LogScaled;
-
 use crate::{Direction, RayId, SimError};
 
 /// An alternating turning-point plan on the real line.
@@ -346,175 +344,6 @@ impl TourItinerary {
     }
 }
 
-/// One excursion whose turning distance lives in the log domain.
-///
-/// The magnitude is a [`LogScaled`], so plans whose turning points
-/// exceed `f64::MAX` (the padding tail of large cyclic fleets) remain
-/// representable exactly. A log excursion is valid when its turn is
-/// strictly positive with a finite log-magnitude — the log-domain
-/// mirror of [`Excursion`]'s "finite and positive".
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LogExcursion {
-    /// The ray explored by this excursion.
-    pub ray: RayId,
-    /// The turning distance, as sign + log-magnitude.
-    pub turn: LogScaled,
-}
-
-impl LogExcursion {
-    /// Creates a log-domain excursion, validating the turning distance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidDistance`] unless the turn is strictly
-    /// positive with a finite log-magnitude (the reported raw value is
-    /// the saturating linear extraction).
-    pub fn new(ray: RayId, turn: LogScaled) -> Result<Self, SimError> {
-        if turn.is_positive() && turn.ln_abs().is_finite() {
-            Ok(LogExcursion { ray, turn })
-        } else {
-            Err(SimError::InvalidDistance {
-                value: turn.to_f64(),
-            })
-        }
-    }
-
-    /// Converts to a linear-space [`Excursion`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidDistance`] if the magnitude saturates
-    /// linear `f64` (to `inf` above, to `0` below) — exactly the error a
-    /// linear pipeline would have hit constructing the same excursion.
-    pub fn to_linear(&self) -> Result<Excursion, SimError> {
-        Excursion::new(self.ray, self.turn.to_f64())
-    }
-}
-
-/// A ray-star plan whose turning distances live in the log domain.
-///
-/// This is the overflow-proof mirror of [`TourItinerary`]: the cyclic
-/// exponential strategy's turn points are `α^(kn + mr)`, and the tour
-/// contract requires padding excursions far past the horizon whose
-/// magnitudes overflow linear `f64` for fleets of a few hundred robots.
-/// A `LogTourItinerary` carries those exponents exactly; consumers
-/// extract to linear `f64` only for the bounded, in-range prefix.
-///
-/// # Example
-///
-/// ```
-/// use raysearch_bounds::LogScaled;
-/// use raysearch_sim::{LogExcursion, LogTourItinerary, RayId};
-///
-/// // a tour whose second turn is e^1000 — far beyond f64::MAX
-/// let tour = LogTourItinerary::new(
-///     2,
-///     vec![
-///         LogExcursion::new(RayId::new(0, 2)?, LogScaled::from_ln(0.0))?,
-///         LogExcursion::new(RayId::new(1, 2)?, LogScaled::from_ln(1000.0))?,
-///     ],
-/// )?;
-/// assert_eq!(tour.len(), 2);
-/// assert!(tour.to_linear().is_err()); // linear extraction overflows
-/// # Ok::<(), raysearch_sim::SimError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LogTourItinerary {
-    num_rays: usize,
-    excursions: Vec<LogExcursion>,
-}
-
-impl LogTourItinerary {
-    /// Creates a log-domain tour over `num_rays` rays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidFleet`] if `num_rays == 0`,
-    /// [`SimError::RayOutOfRange`] if an excursion names a ray
-    /// `≥ num_rays`, and [`SimError::InvalidDistance`] if a turn is not
-    /// strictly positive with finite log-magnitude.
-    pub fn new(num_rays: usize, excursions: Vec<LogExcursion>) -> Result<Self, SimError> {
-        if num_rays == 0 {
-            return Err(SimError::InvalidFleet {
-                reason: "a ray star must have at least one ray".to_owned(),
-            });
-        }
-        for e in &excursions {
-            if e.ray.index() >= num_rays {
-                return Err(SimError::RayOutOfRange {
-                    ray: e.ray.index(),
-                    num_rays,
-                });
-            }
-            if !(e.turn.is_positive() && e.turn.ln_abs().is_finite()) {
-                return Err(SimError::InvalidDistance {
-                    value: e.turn.to_f64(),
-                });
-            }
-        }
-        Ok(LogTourItinerary {
-            num_rays,
-            excursions,
-        })
-    }
-
-    /// Lifts a linear tour into the log domain (lossless: each turn
-    /// becomes `ln(turn)`).
-    pub fn from_linear(tour: &TourItinerary) -> LogTourItinerary {
-        LogTourItinerary {
-            num_rays: tour.num_rays(),
-            excursions: tour
-                .excursions()
-                .iter()
-                .map(|e| LogExcursion {
-                    ray: e.ray,
-                    turn: LogScaled::from_f64(e.turn),
-                })
-                .collect(),
-        }
-    }
-
-    /// Lowers the tour to linear space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidDistance`] if any turn saturates
-    /// linear `f64` — the same failure a linear construction of this
-    /// plan would have produced.
-    pub fn to_linear(&self) -> Result<TourItinerary, SimError> {
-        let excursions = self
-            .excursions
-            .iter()
-            .map(LogExcursion::to_linear)
-            .collect::<Result<Vec<_>, _>>()?;
-        TourItinerary::new(self.num_rays, excursions)
-    }
-
-    /// Number of rays in the star this tour lives on.
-    #[inline]
-    pub fn num_rays(&self) -> usize {
-        self.num_rays
-    }
-
-    /// The excursions in order.
-    #[inline]
-    pub fn excursions(&self) -> &[LogExcursion] {
-        &self.excursions
-    }
-
-    /// Number of excursions.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.excursions.len()
-    }
-
-    /// Returns `true` if the tour has no excursions.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.excursions.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,69 +407,6 @@ mod tests {
             turn: f64::NAN,
         };
         assert!(TourItinerary::new(m, vec![bad_turn]).is_err());
-    }
-
-    #[test]
-    fn log_tour_validation() {
-        let ok = LogExcursion::new(ray(0, 2), LogScaled::from_ln(3.0)).unwrap();
-        assert!(LogTourItinerary::new(2, vec![ok]).is_ok());
-        assert!(LogTourItinerary::new(0, vec![]).is_err());
-        // zero and negative turns are rejected
-        assert!(LogExcursion::new(ray(0, 2), LogScaled::ZERO).is_err());
-        assert!(LogExcursion::new(ray(0, 2), LogScaled::from_f64(-2.0)).is_err());
-        // infinite log-magnitude (a pole) is rejected
-        assert!(LogExcursion::new(ray(0, 2), LogScaled::ZERO.recip()).is_err());
-        // out-of-range ray is rejected at the tour level
-        let stray = LogExcursion {
-            ray: RayId::new_unvalidated(7),
-            turn: LogScaled::ONE,
-        };
-        assert!(LogTourItinerary::new(2, vec![stray]).is_err());
-    }
-
-    #[test]
-    fn log_tour_round_trips_linear_tours() {
-        let m = 3;
-        let tour = TourItinerary::new(
-            m,
-            vec![
-                Excursion::new(ray(0, m), 1.5).unwrap(),
-                Excursion::new(ray(1, m), 2.0).unwrap(),
-                Excursion::new(ray(2, m), 8.0).unwrap(),
-            ],
-        )
-        .unwrap();
-        let log = LogTourItinerary::from_linear(&tour);
-        assert_eq!(log.num_rays(), m);
-        assert_eq!(log.len(), 3);
-        assert!(!log.is_empty());
-        let back = log.to_linear().unwrap();
-        // ln→exp round trips are exact for these magnitudes? not in
-        // general — but ray structure and near-equality must hold
-        assert_eq!(back.num_rays(), m);
-        for (a, b) in tour.excursions().iter().zip(back.excursions()) {
-            assert_eq!(a.ray, b.ray);
-            assert!((a.turn - b.turn).abs() <= 1e-15 * a.turn);
-        }
-    }
-
-    #[test]
-    fn log_tour_carries_magnitudes_beyond_f64() {
-        let excursions: Vec<LogExcursion> = (0..40)
-            .map(|i| {
-                LogExcursion::new(
-                    RayId::new_unvalidated(i % 2),
-                    LogScaled::from_ln(f64::from(i as u16) * 50.0),
-                )
-                .unwrap()
-            })
-            .collect();
-        let tour = LogTourItinerary::new(2, excursions).unwrap();
-        // turn 39 has ln = 1950 ≈ 10^847: inexpressible linearly…
-        assert!(tour.to_linear().is_err());
-        // …but exactly ordered in the log domain
-        let turns: Vec<LogScaled> = tour.excursions().iter().map(|e| e.turn).collect();
-        assert!(turns.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

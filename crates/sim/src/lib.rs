@@ -53,7 +53,7 @@ pub mod workload;
 pub use engine::{VisitEngine, VisitEvent, VisitSchedule};
 pub use error::SimError;
 pub use geometry::{Direction, LinePoint, RayId, RayPoint};
-pub use itinerary::{Excursion, LineItinerary, LogExcursion, LogTourItinerary, TourItinerary};
+pub use itinerary::{Excursion, LineItinerary, TourItinerary};
 pub use time::Time;
 pub use trajectory::{LineTrajectory, RayTrajectory, Visit};
 

@@ -12,10 +12,8 @@
 //! and 6 forbids improving. Away from `α*`, the ratio is
 //! `2·α^q/(α^k−1) + 1`; experiment E5 sweeps `α` to exhibit the minimum.
 
-use raysearch_bounds::{optimal_alpha, LogScaled, RayInstance, Regime};
-use raysearch_sim::{
-    Direction, LineItinerary, LogExcursion, LogTourItinerary, RayId, RobotId, TourItinerary,
-};
+use raysearch_bounds::{optimal_alpha, RayInstance, Regime};
+use raysearch_sim::{Direction, Excursion, LineItinerary, RayId, RobotId, TourItinerary};
 
 use crate::{LineStrategy, RayStrategy, StrategyError};
 
@@ -109,18 +107,34 @@ impl CyclicExponential {
         self.alpha.powi(self.k as i32)
     }
 
-    /// Robot `r`'s (0-based) excursions from the paper's first, `n0 =
-    /// 1 − 2m`, on, without end: excursion `n` explores ray `n mod m`
-    /// and turns at natural log `(k·n + m·(r+1)) · ln α`, with `ln α`
-    /// computed once. Logs are the primary representation — the exponent
-    /// grows linearly in `k·n`, so the linear-space magnitude
-    /// `α^(k·n + m·(r+1))` overflows `f64` long before the tour
-    /// contract's post-horizon padding is satisfied on large fleets
-    /// (k ≳ 139 at deep horizons). Rejects an out-of-range robot.
-    fn turn_lns(
+    /// One robot's excursions as `(ray, turn)` pairs, streamed, valid
+    /// for targets up to `horizon`: the one generator of this fleet's
+    /// turn points, behind [`RayStrategy::tour`], the fleet compiler
+    /// (`raysearch_core::compiled::optimal_fleet`) and the tightness
+    /// verdict.
+    ///
+    /// Robot `r` (0-based) starts at the paper's first excursion,
+    /// `n = 1 − 2m`; excursion `n` explores ray `n mod m` and turns at
+    /// `exp((k·n + m·(r+1)) · ln α)`, with `ln α` computed once. The
+    /// integer `k·n + m·(r+1)` is exact in `f64`, and the one `exp` per
+    /// turn saturates to `∞` where `α^(k·n + m·(r+1))` leaves linear
+    /// range (large fleets at deep horizons, from k ≈ 139 on the line).
+    ///
+    /// The stream ends once every ray has `f + 2` turns at or past
+    /// `horizon`, which makes every (f+1)-st distinct-robot visit below
+    /// the horizon final; a saturated turn counts as past any horizon.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StrategyError::InvalidHorizon`] for a non-finite or
+    /// sub-unit horizon and [`StrategyError::InvalidParameters`] for an
+    /// out-of-range robot index.
+    pub fn turns(
         &self,
         robot: RobotId,
+        horizon: f64,
     ) -> Result<impl Iterator<Item = (RayId, f64)>, StrategyError> {
+        StrategyError::check_horizon(horizon)?;
         let r = robot.index();
         if r >= self.k as usize {
             return Err(StrategyError::invalid(format!(
@@ -131,103 +145,25 @@ impl CyclicExponential {
         let rays = i64::from(self.m);
         let (k, offset) = (f64::from(self.k), f64::from(self.m) * (r as f64 + 1.0));
         let ln_alpha = self.alpha.ln();
-        // the paper starts at j = -2, i.e. excursion n0 = 1 - 2m, which
-        // guarantees every robot has swept every ray before distance 1
-        Ok((1 - 2 * rays..).map(move |n| {
-            let ray = RayId::new_unvalidated(n.rem_euclid(rays) as usize);
-            (ray, (k * n as f64 + offset) * ln_alpha)
-        }))
-    }
-
-    /// The finite log-domain tour of one robot, valid for targets up to
-    /// `horizon` — the overflow-proof form of [`RayStrategy::tour`].
-    ///
-    /// Turn points are generated and stored as logarithms; nothing here
-    /// ever materializes `α^i` in linear space, so the tour exists for
-    /// any fleet size. Wherever the linear tour is finite, its turns
-    /// are exactly the saturating extraction of these (`tour` is
-    /// implemented on top of this method).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StrategyError::InvalidHorizon`] for a non-finite or
-    /// sub-unit horizon and [`StrategyError::InvalidParameters`] for an
-    /// out-of-range robot index.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use raysearch_sim::RobotId;
-    /// use raysearch_strategies::CyclicExponential;
-    ///
-    /// // k = 139 overflows the linear tour; the log tour is fine
-    /// let s = CyclicExponential::optimal(2, 139, 69)?;
-    /// let tour = s.log_tour(RobotId(0), 1e12)?;
-    /// assert!(tour.to_linear().is_err());
-    /// assert!(tour.len() > 140);
-    /// # Ok::<(), raysearch_strategies::StrategyError>(())
-    /// ```
-    pub fn log_tour(
-        &self,
-        robot: RobotId,
-        horizon: f64,
-    ) -> Result<LogTourItinerary, StrategyError> {
-        StrategyError::check_horizon(horizon)?;
-        let mut lns = self.turn_lns(robot)?;
-        let mut excursions = Vec::new();
-        // Per-ray count of excursions whose turn already exceeds the
-        // horizon; we stop once every ray has f+2 of them, which makes all
-        // (f+1)-st distinct-robot visit times below the horizon final.
+        // per-ray count of turns at or past the horizon, and how many
+        // rays still have fewer than f + 2 of them
         let needed = self.f as usize + 2;
         let mut beyond = vec![0usize; self.m as usize];
-        while beyond.iter().any(|&c| c < needed) {
-            let (ray, ln_turn) = lns.next().expect("the excursion sequence never ends");
-            excursions.push(
-                LogExcursion::new(ray, LogScaled::from_ln(ln_turn))
-                    .expect("finite exponent times finite ln(alpha) is a valid log turn"),
-            );
-            // same comparison the linear pipeline made: the extraction
-            // saturates to inf past f64::MAX, which still counts as
-            // beyond any finite horizon
-            if ln_turn.exp() >= horizon {
-                beyond[ray.index()] += 1;
+        let mut short = self.m as usize;
+        // the paper starts at j = -2, i.e. excursion n0 = 1 - 2m, which
+        // guarantees every robot has swept every ray before distance 1
+        Ok((1 - 2 * rays..).map_while(move |n| {
+            if short == 0 {
+                return None;
             }
-        }
-        Ok(LogTourItinerary::new(self.m as usize, excursions)?)
-    }
-
-    /// One robot's excursions as `(ray, turn)` pairs, streamed: the
-    /// turns of [`CyclicExponential::log_tour`] extracted to linear
-    /// `f64`, bit for bit [`LogScaled::to_f64`]'s (so saturating to `∞`
-    /// past `f64::MAX`), at one `exp` per excursion.
-    ///
-    /// The sequence never ends: it knows no horizon, and its consumer
-    /// decides where to stop. The fleet compiler
-    /// (`raysearch_core::compiled::optimal_fleet`) feeds it to a builder
-    /// that stops once every ray has reached the cap, so no padding tail
-    /// and no per-robot tour is ever built.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StrategyError::InvalidParameters`] for an out-of-range
-    /// robot index.
-    pub fn turns(
-        &self,
-        robot: RobotId,
-    ) -> Result<impl Iterator<Item = (RayId, f64)>, StrategyError> {
-        let lns = self.turn_lns(robot)?;
-        Ok(lns.map(|(ray, ln_turn)| (ray, LogScaled::from_ln(ln_turn).to_f64())))
-    }
-
-    /// Log-domain tours for the whole fleet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing robot's error.
-    pub fn fleet_log_tours(&self, horizon: f64) -> Result<Vec<LogTourItinerary>, StrategyError> {
-        (0..self.k as usize)
-            .map(|r| self.log_tour(RobotId(r), horizon))
-            .collect()
+            let ray = n.rem_euclid(rays) as usize;
+            let turn = ((k * n as f64 + offset) * ln_alpha).exp();
+            if turn >= horizon {
+                beyond[ray] += 1;
+                short -= usize::from(beyond[ray] == needed);
+            }
+            Some((RayId::new_unvalidated(ray), turn))
+        }))
     }
 
     /// Restriction of this strategy to the line (`m = 2`), with ray `0`
@@ -270,12 +206,16 @@ impl RayStrategy for CyclicExponential {
         self.k as usize
     }
 
-    /// The linear-space view of [`CyclicExponential::log_tour`]: same
-    /// turn points bit-for-bit wherever they fit `f64`, an
-    /// invalid-distance error where they overflow (large fleets at deep
-    /// horizons — use `log_tour` there).
+    /// [`CyclicExponential::turns`] collected into excursions: an
+    /// invalid-distance error where a turn saturates to `∞` (large
+    /// fleets at deep horizons, which compile through the stream
+    /// instead).
     fn tour(&self, robot: RobotId, horizon: f64) -> Result<TourItinerary, StrategyError> {
-        Ok(self.log_tour(robot, horizon)?.to_linear()?)
+        let excursions = self
+            .turns(robot, horizon)?
+            .map(|(ray, turn)| Excursion::new(ray, turn))
+            .collect::<Result<_, _>>()?;
+        Ok(TourItinerary::new(self.m as usize, excursions)?)
     }
 }
 
@@ -441,73 +381,57 @@ mod tests {
     }
 
     #[test]
-    fn log_tour_matches_linear_tour_bit_for_bit() {
-        for (m, k, f) in [(2u32, 3u32, 1u32), (3, 4, 1), (5, 9, 2)] {
-            let s = CyclicExponential::optimal(m, k, f).unwrap();
-            for r in 0..k as usize {
-                let linear = s.tour(RobotId(r), 300.0).unwrap();
-                let log = s.log_tour(RobotId(r), 300.0).unwrap();
-                assert_eq!(linear.len(), log.len());
-                for (a, b) in linear.excursions().iter().zip(log.excursions()) {
-                    assert_eq!(a.ray, b.ray);
-                    assert_eq!(a.turn.to_bits(), b.turn.to_f64().to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn log_tour_exists_where_the_linear_tour_overflows() {
-        // q = k + 1 on the line: the slowest-growing base, whose
-        // padding tail overflows f64 from k ≈ 139 at deep horizons
-        let s = CyclicExponential::optimal(2, 149, 74).unwrap();
-        assert!(s.tour(RobotId(0), 1e12).is_err(), "linear tour overflows");
-        let tour = s.log_tour(RobotId(0), 1e12).unwrap();
-        // per-excursion growth is exactly k·ln(alpha) in log space
-        let step = f64::from(s.k) * s.alpha().ln();
-        for w in tour.excursions().windows(2) {
-            let got = w[1].turn.ln_abs() - w[0].turn.ln_abs();
-            assert!((got - step).abs() < 1e-6, "growth {got} != {step}");
-        }
-        // the contract holds: each ray has f + 2 excursions past horizon
-        let ln_h = 1e12f64.ln();
-        for ray in 0..2usize {
-            let beyond = tour
-                .excursions()
-                .iter()
-                .filter(|e| e.ray.index() == ray && e.turn.ln_abs() >= ln_h)
-                .count();
-            assert!(beyond >= 76, "ray {ray} has only {beyond} beyond");
-        }
-        // fleet construction scales to every robot
-        assert_eq!(s.fleet_log_tours(1e6).unwrap().len(), 149);
-    }
-
-    #[test]
-    fn turns_stream_the_full_log_tour_bit_for_bit() {
+    fn turns_match_the_closed_form_bit_for_bit() {
+        // every turn of every robot at the largest finite horizon, where
+        // each stream runs on until f + 2 turns per ray have saturated
+        // to ∞: 1,561, 2,635 and 104,588 turns
         for (m, k, f) in [(2u32, 3u32, 1u32), (3, 4, 1), (2, 256, 128)] {
             let s = CyclicExponential::optimal(m, k, f).unwrap();
-            for r in [0usize, k as usize - 1] {
-                let full = s.log_tour(RobotId(r), 4e6).unwrap();
-                let mut turns = s.turns(RobotId(r)).unwrap();
-                for (i, e) in full.excursions().iter().enumerate() {
-                    let (ray, turn) = turns.next().expect("turns never end");
-                    let at = format!("(m={m},k={k},f={f}) robot {r}, excursion {i}");
-                    assert_eq!(ray, e.ray, "{at}");
-                    assert_eq!(turn.to_bits(), e.turn.to_f64().to_bits(), "{at}");
+            let ln_alpha = s.alpha().ln();
+            for r in 0..i64::from(k) {
+                let turns = s.turns(RobotId(r as usize), f64::MAX).unwrap();
+                let mut last = 0.0;
+                for (i, (ray, turn)) in turns.enumerate() {
+                    let n = 1 - 2 * i64::from(m) + i as i64;
+                    let exponent = i64::from(k) * n + i64::from(m) * (r + 1);
+                    let at = format!("(m={m},k={k},f={f}) robot {r}, turn {i}");
+                    assert_eq!(ray.index() as i64, n.rem_euclid(i64::from(m)), "{at}");
+                    let want = (exponent as f64 * ln_alpha).exp();
+                    assert_eq!(turn.to_bits(), want.to_bits(), "{at}");
+                    last = turn;
                 }
-                // past the padded tour the stream goes on cycling the
-                // rays, its turns growing or saturated at ∞
-                let (ray, turn) = turns.next().unwrap();
-                let last = full.excursions().last().unwrap();
-                assert_eq!(ray.index(), (last.ray.index() + 1) % m as usize);
-                assert!(turn >= last.turn.to_f64());
+                assert_eq!(last, f64::INFINITY);
             }
         }
-        assert!(CyclicExponential::optimal(2, 3, 1)
-            .unwrap()
-            .turns(RobotId(3))
-            .is_err());
+        let s = CyclicExponential::optimal(2, 3, 1).unwrap();
+        assert!(s.turns(RobotId(3), 10.0).is_err());
+        assert!(s.turns(RobotId(0), 0.5).is_err());
+        assert!(s.turns(RobotId(0), f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn turns_pass_the_horizon_on_every_ray_where_the_tour_overflows() {
+        // q = k + 1 on the line: the slowest-growing base, whose turns
+        // saturate to ∞ before f + 2 of them pass a deep horizon
+        let (m, k, f) = (2u32, 149u32, 74u32);
+        let s = CyclicExponential::optimal(m, k, f).unwrap();
+        let horizon = 1e12;
+        assert!(s.tour(RobotId(0), horizon).is_err(), "the tour overflows");
+        let turns: Vec<(RayId, f64)> = s.turns(RobotId(0), horizon).unwrap().collect();
+        assert_eq!(turns.last().unwrap().1, f64::INFINITY);
+        let beyond = |ray: usize, turns: &[(RayId, f64)]| {
+            turns
+                .iter()
+                .filter(|(r, turn)| r.index() == ray && *turn >= horizon)
+                .count()
+        };
+        for ray in 0..m as usize {
+            assert!(beyond(ray, &turns) >= 76, "ray {ray} is short");
+        }
+        // the stream stops at the turn that completes the last ray
+        let (ray, _) = *turns.last().unwrap();
+        assert_eq!(beyond(ray.index(), &turns), 76);
+        assert_eq!(beyond(ray.index(), &turns[..turns.len() - 1]), 75);
     }
 
     #[test]

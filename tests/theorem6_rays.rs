@@ -3,9 +3,10 @@
 
 use raysearch::bounds::{a_rays, c_fractional, c_orc, lambda_to_mu, RayInstance, Regime};
 use raysearch::core::verdict::verify_tightness;
-use raysearch::core::{CompiledFleet, RayEvaluator};
+use raysearch::core::{stable_hash64, CompiledFleet, RayEvaluator};
 use raysearch::cover::settings::{merge_fleet_intervals, OrcSetting};
 use raysearch::cover::CoverageProfile;
+use raysearch::sim::RobotId;
 use raysearch::strategies::{CyclicExponential, RayStrategy};
 
 /// All searchable (m, k, f) with m <= 5, k <= 7: measured == theory and
@@ -189,4 +190,77 @@ fn impossibility_certificate_is_consistent() {
     assert!(ln_n_near > ln_n_far);
     // measured witness at 0.999·9 is ~128 (E7); the certificate is larger
     assert!(ln_n_far > (128.0f64).ln());
+}
+
+/// The instances the output pins below walk: the small fleets of the
+/// grids above, a mid-size three-ray fleet, and the line fleets from
+/// k = 139 on, whose linear tours overflow `f64` at deep horizons.
+const PIN_CASES: [(u32, u32, u32); 9] = [
+    (2, 1, 0),
+    (2, 3, 1),
+    (3, 4, 1),
+    (5, 9, 2),
+    (4, 7, 2),
+    (3, 40, 20),
+    (2, 139, 69),
+    (2, 149, 74),
+    (2, 256, 128),
+];
+
+fn digest(bytes: &[u8]) -> String {
+    format!("{:016x}", stable_hash64(bytes))
+}
+
+/// `CyclicExponential::tour` pinned bit for bit: for robots
+/// {0, k/2, k−1, k} (the last out of range) at horizons from below 1 to
+/// ∞, every turn's ray and bits, and the `Debug` text of every error.
+/// The k ≥ 139 tours overflow and error from 1e12 on.
+#[test]
+fn cyclic_tours_are_pinned_bit_for_bit() {
+    let mut bytes = Vec::new();
+    for (m, k, f) in PIN_CASES {
+        let s = CyclicExponential::optimal(m, k, f).unwrap();
+        for r in [0, k / 2, k - 1, k] {
+            for horizon in [0.5, 10.0, 300.0, 1e4, 1e12, 1e300, f64::INFINITY] {
+                match s.tour(RobotId(r as usize), horizon) {
+                    Ok(tour) => {
+                        bytes.extend((tour.len() as u64).to_le_bytes());
+                        for e in tour.excursions() {
+                            bytes.extend((e.ray.index() as u64).to_le_bytes());
+                            bytes.extend(e.turn.to_bits().to_le_bytes());
+                        }
+                    }
+                    Err(e) => bytes.extend(format!("{e:?}").bytes()),
+                }
+            }
+        }
+    }
+    assert_eq!(digest(&bytes), "87c893b785b50d07");
+}
+
+/// `verify_tightness` pinned bit for bit over the same instances: the
+/// bits of `theory`, `measured_upper` and `witness_below`, and
+/// `falsified_below`.
+#[test]
+fn tightness_reports_are_pinned_bit_for_bit() {
+    let mut bytes = Vec::new();
+    for (m, k, f) in PIN_CASES {
+        for horizon in [1e3, 1e4, 1e12] {
+            for eps in [0.01, 0.2] {
+                match verify_tightness(m, k, f, horizon, eps) {
+                    Ok(r) => {
+                        bytes.extend(r.theory.to_bits().to_le_bytes());
+                        bytes.extend(r.measured_upper.to_bits().to_le_bytes());
+                        match r.witness_below {
+                            Some(w) => bytes.extend(w.to_bits().to_le_bytes()),
+                            None => bytes.extend(b"none"),
+                        }
+                        bytes.push(u8::from(r.falsified_below));
+                    }
+                    Err(e) => bytes.extend(format!("{e:?}").bytes()),
+                }
+            }
+        }
+    }
+    assert_eq!(digest(&bytes), "8f08f5e3708c0a70");
 }
