@@ -202,7 +202,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         .collect();
 
     if cli.list {
-        let mut table = raysearch_bench::Table::new(vec![
+        let mut table = raysearch_core::campaign::Table::new(vec![
             "experiment".to_owned(),
             "campaign".to_owned(),
             "cells".to_owned(),

@@ -52,6 +52,3 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod table;
-
-pub use table::Table;

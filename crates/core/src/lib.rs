@@ -1,12 +1,9 @@
-//! Public facade of the `raysearch` workspace: problem specifications,
-//! exact competitive-ratio evaluation, tightness verdicts and parallel
-//! parameter sweeps.
+//! Public facade of the `raysearch` workspace: exact competitive-ratio
+//! evaluation, tightness verdicts and parallel parameter sweeps.
 //!
 //! This crate glues the substrates together into the API a user of the
 //! reproduction actually touches:
 //!
-//! * [`problem`] — `LineProblem` / `RayProblem`: instance parameters plus
-//!   an evaluation horizon;
 //! * [`eval`] — the exact evaluator: computes
 //!   `sup_x τ(x)/|x|` for a compiled fleet *symbolically* over
 //!   breakpoints (no sampling), against the worst-case crash adversary;
@@ -63,7 +60,6 @@ pub mod campaign;
 pub mod canon;
 pub mod compiled;
 pub mod eval;
-pub mod problem;
 pub mod sweep;
 pub mod telemetry;
 pub mod trace;
@@ -77,7 +73,6 @@ pub use compiled::{
 };
 pub use error::CoreError;
 pub use eval::{evaluate_optimal, evaluate_optimal_cached, EvalReport, RayEvaluator, WorstTarget};
-pub use problem::{LineProblem, RayProblem};
 pub use sweep::{par_map, par_map_threads};
 pub use telemetry::{splitmix64, HistogramSnapshot, LatencyHistogram};
 pub use trace::{CompletedTrace, SpanData, TraceBuilder, TraceRecorder};

@@ -1,8 +1,9 @@
 //! Endpoint implementations and the shared service state.
 //!
 //! Every evaluation endpoint is a pure function of its canonicalized
-//! parameters, so each one is memoized in the sharded LRU cache behind a
-//! [`MemoKey`]. Responses wrap the cached payload as
+//! parameters, so each one is memoized in the sharded LRU cache behind
+//! the canonical key string its `prepare` formats (the same string
+//! [`routing_key`] returns). Responses wrap the cached payload as
 //! `{"cached": <bool>, "result": <payload>}` — the payload string is
 //! byte-for-byte identical between the computing request and every
 //! cache hit after it (deterministic JSON bodies), while the `cached`
@@ -24,11 +25,12 @@
 //! Every memoizable endpoint parses into a `Prepared` computation
 //! (key + validated compute closure) and resolves through one shared
 //! execute path — the synchronous handlers inline, the job tier on a
-//! compute worker — so a job's `result` payload is byte-identical to
-//! the synchronous response for the same parameters. The same `prepare`
-//! derives the router's [`routing_key`], and one envelope unwrap
-//! (`unwrap_job`) serves job admission and routing alike, so request
-//! canonicalisation is decided once, here, for both tiers.
+//! compute worker, which runs the very `Prepared` its admission built —
+//! so a job's `result` payload is byte-identical to the synchronous
+//! response for the same parameters. The same `prepare` derives the
+//! router's [`routing_key`], and one envelope unwrap (`unwrap_job`)
+//! serves job admission and routing alike, so request canonicalisation
+//! is decided once, here, for both tiers.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -146,129 +148,12 @@ pub const ENDPOINTS: &[&str] = &[
     "debug/trace",
 ];
 
-/// The canonicalized identity of one memoizable computation.
-///
-/// Float parameters go through [`CanonF64`], so requests spelling the
-/// same instance differently (`-0.0` vs `0.0`, `1e4` vs `10000`) share
-/// one cache entry and one shard.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum MemoKey {
-    /// `/closed_form` over an `(m, k, f)` instance.
-    ClosedForm {
-        /// Number of rays.
-        m: u32,
-        /// Number of robots.
-        k: u32,
-        /// Number of faulty robots.
-        f: u32,
-    },
-    /// `/closed_form` over a raw ratio argument `η`.
-    Lambda {
-        /// The canonicalized `η`.
-        eta: CanonF64,
-    },
-    /// `/evaluate` of the optimal strategy for an instance.
-    Evaluate {
-        /// Number of rays.
-        m: u32,
-        /// Number of robots.
-        k: u32,
-        /// Number of faulty robots.
-        f: u32,
-        /// The canonicalized evaluation horizon.
-        horizon: CanonF64,
-    },
-    /// `/verdict` tightness verification for an instance.
-    Verdict {
-        /// Number of rays.
-        m: u32,
-        /// Number of robots.
-        k: u32,
-        /// Number of faulty robots.
-        f: u32,
-        /// The canonicalized evaluation horizon.
-        horizon: CanonF64,
-        /// The canonicalized falsification margin.
-        eps: CanonF64,
-    },
-    /// `/campaign` run of one registered experiment.
-    Campaign {
-        /// The experiment id (`"e1"` … `"e11"`).
-        id: String,
-        /// The `k`-axis ceiling.
-        max_k: u32,
-    },
-    /// `/montecarlo` estimation of an instance under a fault model.
-    ///
-    /// The seed and sample count are part of the key — the engine is
-    /// bit-deterministic in them (and thread-count invariant), so the
-    /// cached payload is byte-identical to a cold computation.
-    MonteCarlo {
-        /// Number of rays.
-        m: u32,
-        /// Number of robots.
-        k: u32,
-        /// Number of faulty robots.
-        f: u32,
-        /// The canonicalized evaluation horizon.
-        horizon: CanonF64,
-        /// Monte-Carlo samples.
-        samples: u64,
-        /// The master seed.
-        seed: u64,
-        /// The fault-model name (`"worst"`, `"uniform"`, `"iid"`,
-        /// `"byzantine"`).
-        faults: String,
-        /// The canonicalized fault probability (normalized to `0` for
-        /// models that ignore it, so spelling variants share an entry).
-        p: CanonF64,
-    },
-}
-
-impl MemoKey {
-    /// Renders the key as a stable, human-readable canonical string —
-    /// the representation the consistent-hash router scores backends
-    /// against (see [`routing_key`]). Distinct keys always render
-    /// distinctly: integer fields print exactly, and the float fields
-    /// go through [`CanonF64`]'s shortest-round-trip `Display`, which is
-    /// injective on the canonicalized (NaN-free, `-0.0`-free) domain.
-    pub fn canonical_string(&self) -> String {
-        match self {
-            MemoKey::ClosedForm { m, k, f } => format!("closed_form:m={m},k={k},f={f}"),
-            MemoKey::Lambda { eta } => format!("lambda:eta={eta}"),
-            MemoKey::Evaluate { m, k, f, horizon } => {
-                format!("evaluate:m={m},k={k},f={f},h={horizon}")
-            }
-            MemoKey::Verdict {
-                m,
-                k,
-                f,
-                horizon,
-                eps,
-            } => format!("verdict:m={m},k={k},f={f},h={horizon},eps={eps}"),
-            MemoKey::Campaign { id, max_k } => format!("campaign:id={id},max_k={max_k}"),
-            MemoKey::MonteCarlo {
-                m,
-                k,
-                f,
-                horizon,
-                samples,
-                seed,
-                faults,
-                p,
-            } => format!(
-                "montecarlo:m={m},k={k},f={f},h={horizon},samples={samples},seed={seed},faults={faults},p={p}"
-            ),
-        }
-    }
-}
-
 /// Derives the canonical routing key for one request — the string a
 /// consistent-hash router rendezvous-scores backends against.
 ///
-/// The key is the [`MemoKey`] canonical string the backend itself would
-/// cache the request under: the endpoint comes from the path (whatever
-/// the method), a `POST /jobs` envelope is unwrapped by the same
+/// The key is the canonical string the backend itself would cache the
+/// request under: the endpoint comes from the path (whatever the
+/// method), a `POST /jobs` envelope is unwrapped by the same
 /// `unwrap_job` the job tier admits it with, and the parameters go
 /// through the endpoint's own `prepare`. So every spelling of the same
 /// logical request — query string vs JSON body, `1e4` vs `10000`, a job
@@ -287,7 +172,7 @@ pub fn routing_key(req: &Request) -> String {
         RequestParams::from(req).and_then(|params| prepare(endpoint, &params))
     };
     if let Ok(prepared) = prepared {
-        return prepared.key.canonical_string();
+        return prepared.key;
     }
     let mut raw = format!("raw:{}:{}", req.method, req.path);
     for (i, (k, v)) in req.query.iter().enumerate() {
@@ -440,15 +325,16 @@ pub static SERVICE_METRICS: [Metric<ServiceState>; 24] = [
 /// compiled-fleet memo tier beneath it, and counters.
 ///
 /// The two tiers cache different things: the result LRU holds finished
-/// payload *strings* keyed by the full request identity ([`MemoKey`],
-/// including `f`, `eps`, seeds…), while the compile tier holds shared
-/// [`CompiledFleet`] artifacts keyed by geometry alone ([`FleetKey`]).
+/// payload *strings* keyed by the full request identity (the canonical
+/// key string `prepare` formats, including `f`, `eps`, seeds…), while
+/// the compile tier holds shared [`CompiledFleet`] artifacts keyed by
+/// geometry alone ([`FleetKey`]).
 /// A result-cache miss that shares geometry with an earlier request —
 /// same `(m, k, horizon)`, different `f` in the trivial regime, or a
 /// `/verdict` after an `/evaluate` — still skips recompilation.
 #[derive(Debug)]
 pub struct ServiceState {
-    cache: ShardedLru<MemoKey, String>,
+    cache: ShardedLru<String, String>,
     compile: ShardedLru<FleetKey, Arc<CompiledFleet>>,
     started: Instant,
     requests: AtomicU64,
@@ -461,7 +347,7 @@ pub struct ServiceState {
 /// `_cached` entry points can consume it directly. Doubles as the
 /// compile-span capture point: actual fleet builds (never memo hits)
 /// accumulate their wall time into `compile_micros` when attached.
-struct CompileTier<'a> {
+pub(crate) struct CompileTier<'a> {
     cache: &'a ShardedLru<FleetKey, Arc<CompiledFleet>>,
     compile_micros: Option<&'a Cell<u64>>,
 }
@@ -557,24 +443,16 @@ impl ServiceState {
     /// shard stays locked while it runs), and failed computations are
     /// never cached, so a transiently bad request cannot poison the
     /// entry for a later valid one.
-    pub fn memoized(
-        &self,
-        key: MemoKey,
-        compute: impl FnOnce() -> Result<String, ApiError>,
-    ) -> Result<(String, bool), ApiError> {
-        self.cache.try_get_or_insert_with(key, compute)
-    }
-
-    /// [`ServiceState::memoized`] with span attribution: the lookup
-    /// overhead (total minus compute) lands in `cache_lookup`, actual
-    /// fleet builds land in `compile` (captured inside the
-    /// [`CompileTier`] handed to `compute`), and the rest of the compute
-    /// closure lands in `evaluate`. Cache hits record only
-    /// `cache_lookup`.
+    ///
+    /// Spans are attributed as it goes: the lookup overhead (total minus
+    /// compute) lands in `cache_lookup`, actual fleet builds land in
+    /// `compile` (captured inside the [`CompileTier`] handed to
+    /// `compute`), and the rest of the compute closure lands in
+    /// `evaluate`. Cache hits record only `cache_lookup`.
     fn memoized_spanned(
         &self,
         spans: &mut SpanSet,
-        key: MemoKey,
+        key: String,
         compute: impl FnOnce(&CompileTier) -> Result<String, ApiError>,
     ) -> Result<(String, bool), ApiError> {
         let compute_micros = Cell::new(0u64);
@@ -748,51 +626,33 @@ impl ServiceState {
         self.memoized_spanned(spans, prepared.key, prepared.compute)
     }
 
-    /// Executes one job spec on a compute worker: rebuild the endpoint
-    /// request from the stored body (a `POST /{endpoint}` without the
-    /// envelope's query, so exactly the body-only parameters
-    /// `unwrap_job` validated at submission), re-enter the same parse /
-    /// prepare / execute path as the synchronous endpoint, and record
-    /// the compute spans under the `jobs` endpoint label.
-    ///
-    /// # Errors
-    ///
-    /// The [`ApiError`] the synchronous endpoint would have responded
-    /// with; the worker parks it in the job record as a `Failed`
-    /// outcome.
-    pub fn execute_job(&self, endpoint: &str, body: &str) -> Result<(String, bool), ApiError> {
-        let req = Request::new("POST", &format!("/{endpoint}"), body);
-        let prepared = prepare(endpoint, &RequestParams::from(&req)?)?;
-        let mut spans = SpanSet::start();
-        let out = self.execute(&mut spans, prepared);
-        for span in [Span::CacheLookup, Span::Compile, Span::Evaluate] {
-            let micros = spans.get(span);
-            if micros > 0 {
-                self.telemetry.record_span("/jobs", span, micros);
-            }
-        }
-        out
-    }
-
     /// One compute worker: drains the job queue until `stop` is set,
-    /// recording each job's queue wait and executing it through
-    /// [`ServiceState::execute_job`]. Panics inside a job are caught
-    /// and parked as a `Failed` outcome so one poisoned payload cannot
-    /// take a worker down.
+    /// recording each job's queue wait, running the `Prepared`
+    /// computation its admission built through the same `execute` as
+    /// the synchronous endpoint, and recording the compute spans under
+    /// the `/jobs` endpoint label. Panics inside a job are caught and
+    /// parked as a `Failed` outcome so one poisoned payload cannot take
+    /// a worker down.
     pub fn run_compute_worker(&self, stop: &AtomicBool) {
         while !stop.load(Ordering::Relaxed) {
-            let Some((id, endpoint, body, wait)) = self.jobs.next_job(Duration::from_millis(50))
-            else {
+            let Some((id, prepared, wait)) = self.jobs.next_job(Duration::from_millis(50)) else {
                 continue;
             };
             self.telemetry.record_span("/jobs", Span::QueueWait, wait);
+            let mut spans = SpanSet::start();
             let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.execute_job(&endpoint, &body)
+                self.execute(&mut spans, prepared)
             })) {
                 Ok(Ok(pair)) => Ok(pair),
                 Ok(Err(e)) => Err((e.status, e.message)),
                 Err(_) => Err((500, "job execution panicked".to_owned())),
             };
+            for span in [Span::CacheLookup, Span::Compile, Span::Evaluate] {
+                let micros = spans.get(span);
+                if micros > 0 {
+                    self.telemetry.record_span("/jobs", span, micros);
+                }
+            }
             self.jobs.finish(id, outcome);
         }
     }
@@ -819,11 +679,12 @@ impl ServiceState {
     }
 
     /// Parses and eagerly validates a job submission: the envelope must
-    /// unwrap (see `unwrap_job`), the inner payload must survive the
-    /// `prepare` the compute worker will replay (so a malformed payload
-    /// 400s here instead of becoming a `Failed` record later), and an
-    /// `evaluate` job must clear the configured cost threshold — cheap
-    /// evaluations belong on the synchronous endpoint.
+    /// unwrap (see `unwrap_job`), the target's parameters must
+    /// `prepare` (so a malformed payload 400s here instead of becoming
+    /// a `Failed` record later), and an `evaluate` job must clear the
+    /// configured cost threshold — cheap evaluations belong on the
+    /// synchronous endpoint. The spec carries the prepared computation
+    /// itself, which the compute worker runs as is.
     fn parse_job_spec(&self, req: &Request) -> Result<JobSpec, ApiError> {
         let job = unwrap_job(req)?;
         let prepared = prepare(&job.endpoint, &job.params)?;
@@ -838,8 +699,8 @@ impl ServiceState {
         Ok(JobSpec {
             class: CostClass::for_endpoint(&job.endpoint),
             endpoint: job.endpoint,
-            body: job.body.to_owned(),
             client: job.client,
+            prepared,
         })
     }
 
@@ -938,11 +799,28 @@ type ComputeFn = Box<dyn FnOnce(&CompileTier) -> Result<String, ApiError> + Send
 /// threshold; endpoints that are always job-eligible report
 /// `u64::MAX`, synchronous-only ones `0`), and the compute closure.
 /// The `prepare_*` fns perform *all* parameter validation up front, so
-/// executing a `Prepared` can only fail inside the computation itself.
-struct Prepared {
-    key: MemoKey,
-    cost: u64,
-    compute: ComputeFn,
+/// executing a `Prepared` can only fail inside the computation itself;
+/// a job's `Prepared` waits in the queue and runs on a compute worker.
+///
+/// The key is the canonical string the router also routes on, e.g.
+/// `evaluate:m=2,k=600,f=599,h=1000000000000`. Integer fields print
+/// exactly and float fields go through [`CanonF64`]'s shortest
+/// round-trip `Display`, which is injective on the canonicalized
+/// (NaN-free, `-0.0`-free) domain, so distinct computations never share
+/// a key, while spellings of one instance (`1e4` vs `10000`) do.
+pub(crate) struct Prepared {
+    pub(crate) key: String,
+    pub(crate) cost: u64,
+    pub(crate) compute: ComputeFn,
+}
+
+impl std::fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prepared")
+            .field("key", &self.key)
+            .field("cost", &self.cost)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Parses and validates one memoizable endpoint's parameters into a
@@ -962,9 +840,7 @@ fn prepare(endpoint: &str, params: &RequestParams) -> Result<Prepared, ApiError>
 fn prepare_closed_form(params: &RequestParams) -> Result<Prepared, ApiError> {
     if let Some(eta) = params.opt_f64("eta")? {
         return Ok(Prepared {
-            key: MemoKey::Lambda {
-                eta: canon(eta, "eta")?,
-            },
+            key: format!("lambda:eta={}", canon(eta, "eta")?),
             cost: 0,
             compute: Box::new(move |_tier| {
                 let lambda =
@@ -978,7 +854,7 @@ fn prepare_closed_form(params: &RequestParams) -> Result<Prepared, ApiError> {
     }
     let (m, k, f) = params.instance()?;
     Ok(Prepared {
-        key: MemoKey::ClosedForm { m, k, f },
+        key: format!("closed_form:m={m},k={k},f={f}"),
         cost: 0,
         compute: Box::new(move |_tier| {
             let instance = RayInstance::new(m, k, f)
@@ -1006,12 +882,10 @@ fn prepare_evaluate(params: &RequestParams) -> Result<Prepared, ApiError> {
     let horizon = params.opt_f64("horizon")?.unwrap_or(DEFAULT_HORIZON);
     let work = check_eval_limits(m, k, f, horizon)?;
     Ok(Prepared {
-        key: MemoKey::Evaluate {
-            m,
-            k,
-            f,
-            horizon: canon(horizon, "horizon")?,
-        },
+        key: format!(
+            "evaluate:m={m},k={k},f={f},h={}",
+            canon(horizon, "horizon")?
+        ),
         cost: work,
         compute: Box::new(move |tier| {
             let report = evaluate_optimal_cached(tier, m, k, f, horizon)
@@ -1036,13 +910,11 @@ fn prepare_verdict(params: &RequestParams) -> Result<Prepared, ApiError> {
     let eps = params.opt_f64("eps")?.unwrap_or(DEFAULT_EPS);
     check_eval_limits(m, k, f, horizon)?;
     Ok(Prepared {
-        key: MemoKey::Verdict {
-            m,
-            k,
-            f,
-            horizon: canon(horizon, "horizon")?,
-            eps: canon(eps, "eps")?,
-        },
+        key: format!(
+            "verdict:m={m},k={k},f={f},h={},eps={}",
+            canon(horizon, "horizon")?,
+            canon(eps, "eps")?
+        ),
         cost: 0,
         compute: Box::new(move |tier| {
             let report = verify_tightness_cached(tier, m, k, f, horizon, eps)
@@ -1077,10 +949,7 @@ fn prepare_campaign(params: &RequestParams) -> Result<Prepared, ApiError> {
     // engine is deterministic), so it is not part of the cache key
     let threads = params.opt_u32("threads")?.map(|t| t.max(1) as usize);
     Ok(Prepared {
-        key: MemoKey::Campaign {
-            id: id.clone(),
-            max_k,
-        },
+        key: format!("campaign:id={id},max_k={max_k}"),
         cost: u64::MAX,
         compute: Box::new(move |_tier| {
             let cfg = raysearch_bench::experiments::Config {
@@ -1170,16 +1039,11 @@ fn prepare_montecarlo(params: &RequestParams) -> Result<Prepared, ApiError> {
     )
     .map_err(|e| ApiError::bad_request(format!("montecarlo: {e}")))?;
     Ok(Prepared {
-        key: MemoKey::MonteCarlo {
-            m,
-            k,
-            f,
-            horizon: canon(horizon, "horizon")?,
-            samples,
-            seed,
-            faults: model,
-            p: canon(p_effective, "p")?,
-        },
+        key: format!(
+            "montecarlo:m={m},k={k},f={f},h={},samples={samples},seed={seed},faults={model},p={}",
+            canon(horizon, "horizon")?,
+            canon(p_effective, "p")?
+        ),
         cost: u64::MAX,
         compute: Box::new(move |tier| {
             // one worker thread serves one request: the engine stays
@@ -1213,18 +1077,15 @@ struct JobEnvelope<'a> {
     endpoint: String,
     /// The admission label (`"anon"` when absent).
     client: String,
-    /// The submit body, stored for the compute worker's replay.
-    body: &'a str,
-    /// The target endpoint's parameters, exactly as the compute
-    /// worker's replay will read them (see [`ServiceState::execute_job`]).
+    /// The target endpoint's parameters: the envelope's body and query,
+    /// read exactly as the synchronous twin reads its own.
     params: RequestParams<'a>,
 }
 
 /// Unwraps a `POST /jobs` envelope: the one place either tier reads the
-/// `endpoint` tag. The tag and the optional `client` label come from
-/// the body or the query, like any parameter; the target endpoint's own
-/// parameters come from the body alone, because that is all the job
-/// stores. The body is parsed once, for both.
+/// `endpoint` tag. The tag, the optional `client` label and the target
+/// endpoint's own parameters all come from the body or the query, like
+/// any parameter. The body is parsed once, for all of them.
 fn unwrap_job(req: &Request) -> Result<JobEnvelope<'_>, ApiError> {
     let body = req
         .body_utf8()
@@ -1234,8 +1095,8 @@ fn unwrap_job(req: &Request) -> Result<JobEnvelope<'_>, ApiError> {
             "POST /jobs requires a JSON body with an \"endpoint\" tag",
         ));
     }
-    let envelope = RequestParams::from(req)?;
-    let endpoint = envelope
+    let params = RequestParams::from(req)?;
+    let endpoint = params
         .opt_str("endpoint")?
         .ok_or_else(|| ApiError::bad_request("missing parameter \"endpoint\""))?;
     if !JOB_ENDPOINTS.contains(&endpoint.as_str()) {
@@ -1244,17 +1105,13 @@ fn unwrap_job(req: &Request) -> Result<JobEnvelope<'_>, ApiError> {
             JOB_ENDPOINTS.join(", ")
         )));
     }
-    let client = envelope
+    let client = params
         .opt_str("client")?
         .unwrap_or_else(|| "anon".to_owned());
     Ok(JobEnvelope {
         endpoint,
         client,
-        body,
-        params: RequestParams {
-            body: envelope.body,
-            query: &[],
-        },
+        params,
     })
 }
 

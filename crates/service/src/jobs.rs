@@ -9,26 +9,30 @@
 //!   per-client admission counters. Lighter cost classes are always
 //!   drained first so a burst of campaign sweeps cannot starve cheap
 //!   evaluate jobs, and no single client can occupy the whole queue.
-//! - [`JobStore`] — a sharded bounded map of [`JobRecord`]s with
-//!   oldest-done eviction: terminal records (done/failed/cancelled) are
-//!   evicted oldest-first when the store is full; queued and running
-//!   jobs are never evicted.
+//! - The record store behind the same [`JobQueue`] handle — a sharded
+//!   bounded map of [`JobRecord`]s with oldest-done eviction: terminal
+//!   records (done/failed/cancelled) are evicted oldest-first when the
+//!   store is full; queued and running jobs are never evicted.
 //! - The job-id scheme: ids are 64-bit with the owning backend's
 //!   logical node index in the high [`NODE_BITS`] bits, so the router
 //!   can route `GET /jobs/{id}` straight to the backend that owns the
 //!   record without any shared state.
 //!
-//! Execution itself lives in the service layer (`api::execute_job`):
-//! compute workers — a pool separate from the HTTP accept pool — pop
-//! specs from the queue, run them through the *same* prepare/execute
-//! path as the synchronous endpoints, and park the result payload back
-//! in the store, so job results are byte-identical to their
-//! synchronous twins and share the memo/compile caches.
+//! Execution itself lives in the service layer
+//! (`api::ServiceState::run_compute_worker`): admission prepares each
+//! job once, the queue holds that prepared computation beside the job
+//! id, and compute workers — a pool separate from the HTTP accept pool
+//! — pop it and run it through the *same* execute path as the
+//! synchronous endpoints, then park the result payload back in the
+//! store, so job results are byte-identical to their synchronous twins
+//! and share the memo/compile caches.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+use crate::api::Prepared;
 
 /// Bits of the job id reserved for the owning backend's node index.
 pub const NODE_BITS: u32 = 8;
@@ -142,18 +146,19 @@ impl JobState {
 }
 
 /// What a submitted job will execute: the endpoint tag plus the
-/// original JSON body (which is exactly the synchronous endpoint's
-/// payload, so execution re-enters the same parse/validate path).
-#[derive(Debug, Clone)]
+/// computation admission prepared from the target's parameters (its
+/// memo key and validated compute closure), which a compute worker runs
+/// through the same execute path as the synchronous endpoint.
+#[derive(Debug)]
 pub struct JobSpec {
     /// Synchronous-endpoint tag: `evaluate`, `montecarlo` or `campaign`.
     pub endpoint: String,
-    /// The submit body, replayed through the endpoint's own parser.
-    pub body: String,
     /// Admission bucket (defaults to `anon` at the API layer).
     pub client: String,
     /// Scheduling class.
     pub class: CostClass,
+    /// The prepared computation, queued beside the job id.
+    pub(crate) prepared: Prepared,
 }
 
 /// A job's execution outcome: the pre-wrap result payload plus the
@@ -183,8 +188,6 @@ pub struct JobRecord {
     pub finished_micros: u64,
     /// The outcome, present once the state is `Done` or `Failed`.
     pub result: Option<JobOutcome>,
-    /// The body a worker replays (cleared once executed).
-    pub body: String,
 }
 
 impl JobRecord {
@@ -281,7 +284,7 @@ struct Shard {
 
 #[derive(Debug, Default)]
 struct QueueInner {
-    classes: [VecDeque<u64>; COST_CLASS_COUNT],
+    classes: [VecDeque<(u64, Prepared)>; COST_CLASS_COUNT],
     len: usize,
     per_client: HashMap<String, usize>,
 }
@@ -290,8 +293,8 @@ struct QueueInner {
 /// store, shared between the HTTP pool (submit/poll/cancel) and the
 /// compute pool (pop/execute/finish).
 ///
-/// `JobQueue` is the admission-facing name; the record store rides
-/// inside (see [`JobStore`] for the alias used in prose).
+/// `JobQueue` is the admission-facing name; the sharded bounded record
+/// map with oldest-done eviction rides inside the same handle.
 #[derive(Debug)]
 pub struct JobQueue {
     cfg: JobConfig,
@@ -311,10 +314,6 @@ pub struct JobQueue {
     rejected: AtomicU64,
     evicted: AtomicU64,
 }
-
-/// Alias naming the store half of [`JobQueue`]: the sharded bounded
-/// record map with oldest-done eviction lives behind the same handle.
-pub type JobStore = JobQueue;
 
 impl JobQueue {
     /// A fresh queue + store under `cfg`.
@@ -424,11 +423,10 @@ impl JobQueue {
             started_micros: 0,
             finished_micros: 0,
             result: None,
-            body: spec.body,
         };
         Self::lock(&self.shard(id).map).insert(id, record);
         self.stored.fetch_add(1, Ordering::Relaxed);
-        queue.classes[spec.class as usize].push_back(id);
+        queue.classes[spec.class as usize].push_back((id, spec.prepared));
         queue.len += 1;
         *queue.per_client.entry(spec.client).or_insert(0) += 1;
         self.queued.fetch_add(1, Ordering::Relaxed);
@@ -440,16 +438,16 @@ impl JobQueue {
 
     /// Blocks a compute worker until a job is available (or `timeout`
     /// passes, or the queue closes), marks it running, and hands back
-    /// `(id, endpoint, body, queue_wait_micros)`. Cancelled jobs left
-    /// in the queue are skipped here.
-    pub fn next_job(&self, timeout: Duration) -> Option<(u64, String, String, u64)> {
+    /// `(id, prepared, queue_wait_micros)`. Cancelled jobs left in the
+    /// queue are skipped (and their computations dropped) here.
+    pub(crate) fn next_job(&self, timeout: Duration) -> Option<(u64, Prepared, u64)> {
         let deadline = Instant::now() + timeout;
         let mut queue = Self::lock(&self.queue);
         loop {
-            while let Some(id) = Self::pop_any(&mut queue) {
+            while let Some((id, prepared)) = Self::pop_any(&mut queue) {
                 drop(queue);
-                if let Some(job) = self.start_job(id) {
-                    return Some(job);
+                if let Some(wait) = self.start_job(id) {
+                    return Some((id, prepared, wait));
                 }
                 queue = Self::lock(&self.queue);
             }
@@ -468,19 +466,19 @@ impl JobQueue {
         }
     }
 
-    fn pop_any(queue: &mut QueueInner) -> Option<u64> {
+    fn pop_any(queue: &mut QueueInner) -> Option<(u64, Prepared)> {
         for class in &mut queue.classes {
-            if let Some(id) = class.pop_front() {
+            if let Some(job) = class.pop_front() {
                 queue.len -= 1;
-                return Some(id);
+                return Some(job);
             }
         }
         None
     }
 
-    /// Transitions a popped id to Running; `None` when the record was
-    /// cancelled (or evicted) while waiting.
-    fn start_job(&self, id: u64) -> Option<(u64, String, String, u64)> {
+    /// Transitions a popped id to Running and returns its queue wait;
+    /// `None` when the record was cancelled (or evicted) while waiting.
+    fn start_job(&self, id: u64) -> Option<u64> {
         let shard = self.shard(id);
         let mut map = Self::lock(&shard.map);
         let rec = map.get_mut(&id)?;
@@ -491,12 +489,7 @@ impl JobQueue {
         rec.started_micros = self.tick();
         self.queued.fetch_sub(1, Ordering::Relaxed);
         self.running.fetch_add(1, Ordering::Relaxed);
-        Some((
-            id,
-            rec.endpoint.clone(),
-            std::mem::take(&mut rec.body),
-            rec.queue_wait_micros(),
-        ))
+        Some(rec.queue_wait_micros())
     }
 
     /// Parks a finished job's outcome and wakes long-pollers.
@@ -541,7 +534,6 @@ impl JobQueue {
         }
         rec.state = JobState::Cancelled;
         rec.finished_micros = self.tick();
-        rec.body = String::new();
         let client = rec.client.clone();
         drop(map);
         self.queued.fetch_sub(1, Ordering::Relaxed);
@@ -635,9 +627,13 @@ mod tests {
     fn spec(endpoint: &str, client: &str) -> JobSpec {
         JobSpec {
             endpoint: endpoint.to_owned(),
-            body: format!("{{\"endpoint\":\"{endpoint}\"}}"),
             client: client.to_owned(),
             class: CostClass::for_endpoint(endpoint),
+            prepared: Prepared {
+                key: format!("{endpoint}:test"),
+                cost: 0,
+                compute: Box::new(|_tier| Ok("{}".to_owned())),
+            },
         }
     }
 
@@ -685,7 +681,7 @@ mod tests {
         assert_eq!(q.submit(spec("evaluate", "c")), Err(SubmitError::QueueFull));
         assert_eq!(q.snapshot().rejected, 2);
         // finishing a job releases the client's admission slot
-        let (id, _, _, _) = q.next_job(Duration::from_millis(10)).unwrap();
+        let (id, _, _) = q.next_job(Duration::from_millis(10)).unwrap();
         q.finish(id, Ok(("{}".to_owned(), false)));
         q.submit(spec("evaluate", "a")).unwrap();
     }
@@ -695,11 +691,11 @@ mod tests {
         let q = JobQueue::new(JobConfig::default());
         let id = q.submit(spec("evaluate", "a")).unwrap();
         assert_eq!(q.get(id).unwrap().state, JobState::Queued);
-        let (popped, endpoint, body, wait) = q.next_job(Duration::from_millis(10)).unwrap();
+        let (popped, prepared, wait) = q.next_job(Duration::from_millis(10)).unwrap();
         assert_eq!(popped, id);
-        assert_eq!(endpoint, "evaluate");
-        assert!(body.contains("evaluate"));
+        assert_eq!(prepared.key, "evaluate:test");
         let rec = q.get(id).unwrap();
+        assert_eq!(rec.endpoint, "evaluate");
         assert_eq!(rec.state, JobState::Running);
         assert!(rec.started_micros >= rec.submitted_micros);
         assert_eq!(wait, rec.queue_wait_micros());
@@ -736,7 +732,7 @@ mod tests {
             ..JobConfig::default()
         });
         let a = q.submit(spec("evaluate", "a")).unwrap();
-        let (id, _, _, _) = q.next_job(Duration::from_millis(10)).unwrap();
+        let (id, _, _) = q.next_job(Duration::from_millis(10)).unwrap();
         assert_eq!(id, a);
         q.finish(a, Ok(("{}".to_owned(), false)));
         let b = q.submit(spec("evaluate", "a")).unwrap();
@@ -756,7 +752,7 @@ mod tests {
         let worker = {
             let q = std::sync::Arc::clone(&q);
             std::thread::spawn(move || {
-                let (id, _, _, _) = q.next_job(Duration::from_secs(1)).unwrap();
+                let (id, _, _) = q.next_job(Duration::from_secs(1)).unwrap();
                 std::thread::sleep(Duration::from_millis(20));
                 q.finish(id, Ok(("{}".to_owned(), false)));
             })

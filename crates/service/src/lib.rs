@@ -21,10 +21,11 @@
 //!   shutdown, and a separate compute-worker pool draining the job
 //!   queue;
 //! * [`jobs`] — the async job tier: a bounded priority-by-cost-class
-//!   [`jobs::JobQueue`] with per-client admission, a sharded bounded
-//!   [`jobs::JobStore`] of job records with oldest-done eviction, and
-//!   the node-tagged job-id scheme behind `POST /jobs`,
-//!   `GET /jobs/{id}` (long-poll via `?wait_micros=`) and
+//!   [`jobs::JobQueue`] with per-client admission that queues each
+//!   job's prepared computation, the sharded bounded store of job
+//!   records with oldest-done eviction behind the same
+//!   [`jobs::JobQueue`] handle, and the node-tagged job-id scheme behind
+//!   `POST /jobs`, `GET /jobs/{id}` (long-poll via `?wait_micros=`) and
 //!   `DELETE /jobs/{id}`;
 //! * [`client`] — a minimal blocking HTTP/1.1 client for tests, the
 //!   router's forwards and replay.
@@ -92,7 +93,7 @@ pub mod server;
 pub mod tape;
 pub mod telemetry;
 
-pub use api::{routing_key, MemoKey, ServiceState};
+pub use api::{routing_key, ServiceState};
 pub use cache::{CacheStats, ShardedLru};
 pub use route::{rendezvous_rank, BackendSpec, RouterState};
 pub use server::{Handler, Server, ServerConfig, ServerHandle};

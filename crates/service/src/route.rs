@@ -789,7 +789,7 @@ impl RouterState {
     /// Routes `GET`/`DELETE /jobs/{id}` by the backend affinity embedded
     /// in the id itself: the minting backend's logical index sits in the
     /// high bits ([`job_node`]), so polls and cancels reach the one
-    /// process whose [`crate::jobs::JobStore`] holds the record. No
+    /// process whose [`crate::jobs::JobQueue`] holds the record. No
     /// rendezvous, no failover — the record exists nowhere else, so
     /// retrying a transport error on another backend could only ever
     /// manufacture a misleading `404`.

@@ -251,16 +251,6 @@ impl Tape {
         out
     }
 
-    /// Writes the tape to `path` in canonical form.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write failure.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.canonical_text())
-            .map_err(|e| format!("write {}: {e}", path.display()))
-    }
-
     /// The entries sorted by arrival tick (stably), the order a replay
     /// harness issues them in.
     #[must_use]

@@ -68,8 +68,8 @@ pub enum Span {
     Route = 2,
     /// Time spent waiting on a proxied backend response.
     BackendWait = 3,
-    /// Result-tier LRU lookup (everything in `memoized` outside the
-    /// compute closure).
+    /// Result-tier LRU lookup (everything in `memoized_spanned` outside
+    /// the compute closure).
     CacheLookup = 4,
     /// Fleet compilation inside the compile tier.
     Compile = 5,

@@ -202,6 +202,70 @@ fn randomized_job_mix_matches_sync_at_concurrency_8() {
     handle.shutdown();
 }
 
+/// The raw `result` payload of a done job record: the bytes between
+/// `"result":` and the `started_micros` key that follows it in the
+/// record's sorted key order.
+fn raw_job_result(record: &str) -> &str {
+    let start = record
+        .find("\"result\":")
+        .expect("done record has a result")
+        + 9;
+    let end = record
+        .rfind(",\"started_micros\":")
+        .expect("done record has started_micros");
+    &record[start..end]
+}
+
+#[test]
+fn job_target_parameters_in_the_query_run_like_the_synchronous_twin() {
+    // a job reads its target's parameters from the body or the query,
+    // exactly as its synchronous twin does, so splitting them between
+    // the two must neither reject the job nor change what it computes
+    let (handle, addr) = spawn_jobs_server(4, 2);
+    // one connection per request, so none idles while the job runs
+    let send = |method: &str, target: &str, body: Option<&str>| {
+        HttpClient::connect(&addr)
+            .and_then(|mut client| client.request(method, target, body))
+            .unwrap_or_else(|e| panic!("{method} {target}: {e}"))
+    };
+    for (endpoint, query, body) in [
+        ("evaluate", "k=600&f=599", r#"{"m":2,"horizon":1e12}"#),
+        ("montecarlo", "k=4&f=1", r#"{"m":3,"samples":500,"seed":7}"#),
+    ] {
+        let (status, submitted) = send(
+            "POST",
+            &format!("/jobs?endpoint={endpoint}&{query}"),
+            Some(body),
+        );
+        assert_eq!(
+            status, 202,
+            "{endpoint} job with {query} in the query: {submitted}"
+        );
+        let submitted: Value = serde_json::from_str(&submitted).expect("JSON submit reply");
+        let id = submitted
+            .get("id")
+            .and_then(Value::as_str)
+            .expect("submit returns an id")
+            .to_owned();
+        poll_done(&addr, &id);
+        let (status, record) = send("GET", &format!("/jobs/{id}"), None);
+        assert_eq!(status, 200, "{record}");
+
+        let (status, sync) = send("POST", &format!("/{endpoint}?{query}"), Some(body));
+        assert_eq!(status, 200, "sync {endpoint}?{query}: {sync}");
+        let sync_payload = sync
+            .strip_prefix("{\"cached\":true,\"result\":")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("the twin answers from the job's memo entry: {sync}"));
+        assert_eq!(
+            raw_job_result(&record),
+            sync_payload,
+            "job and sync payloads diverge for {endpoint}?{query}"
+        );
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn queued_job_cancels_and_terminal_job_does_not() {
     // a single compute worker pinned busy by a slow montecarlo keeps

@@ -4,12 +4,13 @@
 //!
 //! The memo layer stores the *serialized* payload, so the guarantee the
 //! service makes — repeated identical requests get byte-identical
-//! deterministic JSON bodies — reduces to: the payload computed through
-//! [`ServiceState::memoized`] equals a fresh, cache-free call of
-//! [`evaluate_optimal`] serialized the same way, and a second (cached)
-//! request returns the same bytes again. Float fields are additionally
-//! compared by `to_bits`, which is stricter than `==` (it distinguishes
-//! `-0.0` and would catch a formatting round-trip loss).
+//! deterministic JSON bodies — reduces to: the payload a cold
+//! `POST /evaluate` through [`ServiceState::handle`] returns equals a
+//! fresh, cache-free call of [`evaluate_optimal`] serialized the same
+//! way, and a second (cached) request returns the same bytes again.
+//! Float fields are additionally compared by `to_bits`, which is
+//! stricter than `==` (it distinguishes `-0.0` and would catch a
+//! formatting round-trip loss).
 
 use proptest::prelude::*;
 use raysearch_core::evaluate_optimal;

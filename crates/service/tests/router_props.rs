@@ -276,15 +276,32 @@ fn ranking_is_reproducible_from_id_strings_alone() {
 }
 
 /// A job routes with its synchronous twin whether the envelope carries
-/// its `endpoint` tag in the body or in the query: the router unwraps
-/// `POST /jobs` exactly as job admission does, so the job computes on
-/// the backend holding its twin's memo and compile entries.
+/// its `endpoint` tag in the body or in the query, and whether the
+/// target's parameters ride in the body alone or split between the
+/// query and the body: the router unwraps `POST /jobs` exactly as job
+/// admission does, so the job computes on the backend holding its
+/// twin's memo and compile entries.
 #[test]
 fn job_envelopes_route_with_their_synchronous_twin() {
-    for (endpoint, payload) in [
-        ("evaluate", r#""m":2,"k":600,"f":599,"horizon":1e12"#),
-        ("montecarlo", r#""m":3,"k":4,"f":1,"samples":500,"seed":7"#),
-        ("campaign", r#""id":"e11","max_k":12"#),
+    for (endpoint, payload, split_query, split_body) in [
+        (
+            "evaluate",
+            r#""m":2,"k":600,"f":599,"horizon":1e12"#,
+            "k=600&f=599",
+            r#"{"m":2,"horizon":1e12}"#,
+        ),
+        (
+            "montecarlo",
+            r#""m":3,"k":4,"f":1,"samples":500,"seed":7"#,
+            "k=4&f=1",
+            r#"{"m":3,"samples":500,"seed":7}"#,
+        ),
+        (
+            "campaign",
+            r#""id":"e11","max_k":12"#,
+            "id=e11",
+            r#"{"max_k":12}"#,
+        ),
     ] {
         let sync = routing_key(&post(&format!("/{endpoint}"), &format!("{{{payload}}}")));
         assert!(sync.starts_with(&format!("{endpoint}:")), "{sync}");
@@ -306,6 +323,14 @@ fn job_envelopes_route_with_their_synchronous_twin() {
             sync,
             "body-tagged {endpoint} job"
         );
+        // the tag and part of the payload in the query, the rest in the
+        // body: the job reads its target's parameters from both
+        let split = Request::new(
+            "POST",
+            &format!("/jobs?endpoint={endpoint}&{split_query}"),
+            split_body,
+        );
+        assert_eq!(routing_key(&split), sync, "split {endpoint} job");
     }
 }
 

@@ -15,9 +15,7 @@
 //!   first-visit and all-visits queries ([`LineTrajectory`],
 //!   [`RayTrajectory`]);
 //! * [`engine`] — a discrete-event engine merging per-robot visit events
-//!   into a global, time-ordered schedule ([`VisitEngine`]);
-//! * [`workload`] — deterministic target workload generators used by tests
-//!   and benchmarks.
+//!   into a global, time-ordered schedule ([`VisitEngine`]).
 //!
 //! Everything is exact up to `f64` arithmetic: trajectories are
 //! piecewise-linear with unit speed, so visit times are computed in closed
@@ -48,7 +46,6 @@ pub mod engine;
 pub mod geometry;
 pub mod itinerary;
 pub mod trajectory;
-pub mod workload;
 
 pub use engine::{VisitEngine, VisitEvent, VisitSchedule};
 pub use error::SimError;

@@ -17,7 +17,7 @@
 //! | [`faults`] | `raysearch-faults` | crash & Byzantine adversaries, claim verification |
 //! | [`bounds`] | `raysearch-bounds` | closed forms `A(k,f)`, `A(m,k,f)`, `C(k,q)`, `C(η)` |
 //! | [`cover`] | `raysearch-cover` | covering settings, standardization, potential function |
-//! | [`core`] | `raysearch-core` | problems, exact evaluator, tightness verdicts, sweeps, campaign engine |
+//! | [`core`] | `raysearch-core` | exact evaluator, tightness verdicts, sweeps, campaign engine |
 //! | [`mc`] | `raysearch-mc` | deterministic Monte-Carlo engine: random faults/targets, average-case ratios |
 //! | [`bench`](mod@bench) | `raysearch-bench` | campaign-based experiments E1–E12, `tablegen` binary |
 //! | [`service`] | `raysearch-service` | `raysearchd`: caching evaluation server, HTTP layer, router, replay harness |
@@ -70,9 +70,9 @@ mod tests {
         let _ = crate::faults::CrashAdversary::new(1);
         let _ = crate::strategies::DoublingCowPath::classic();
         let _ = crate::cover::settings::OrcSetting;
-        let _ = crate::core::LineProblem::new(3, 1, 10.0).unwrap();
+        let _ = crate::core::CanonF64::new(10.0).unwrap();
         let _ = crate::mc::McConfig::default();
-        let _ = crate::bench::Table::new(vec!["k".into()]);
+        assert!(crate::bench::experiments::ALL.contains(&"e1"));
     }
 
     #[test]
