@@ -22,22 +22,20 @@
 //! * [`CompileCache`] / [`NoCache`] / [`CompileMemo`] — the cache
 //!   seam: callers thread any cache through
 //!   [`evaluate_optimal_cached`](crate::eval::evaluate_optimal_cached)
-//!   and friends; [`CompileMemo`] is the sharded in-process memo the
-//!   campaign runner and serving layer use, with hit/miss/timing
-//!   counters ([`CompileStats`]).
+//!   and friends; [`CompileMemo`] is the in-process memo, a
+//!   [`ShardedLru`] that the campaign runner and the serving layer use,
+//!   with hit/miss/timing counters ([`CompileStats`]).
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use raysearch_bounds::{RayInstance, Regime};
 use raysearch_sim::{RobotId, TourItinerary};
 use raysearch_strategies::{CyclicExponential, RayStrategy, ZonePartition};
 
+use crate::cache::{CacheStats, ShardedLru};
 use crate::canon::CanonF64;
 use crate::eval::check_range;
 use crate::CoreError;
@@ -639,20 +637,20 @@ impl CompileStats {
     }
 }
 
-/// A sharded, unbounded in-process compile memo: the [`CompileCache`]
-/// the campaign runner threads through its worker pool so grid cells
-/// with shared geometry compile once, and the second memo tier the
-/// serving layer keeps beside its result LRU.
+/// The in-process compile memo: a [`ShardedLru`] of compiled fleets
+/// plus a compile-time counter. It is the [`CompileCache`] the campaign
+/// runner threads through its worker pool, so grid cells with shared
+/// geometry compile once, and, [bounded](Self::bounded), the compile
+/// tier the serving layer keeps beneath its result cache.
 ///
-/// Compilation happens under the shard lock, so concurrent requests for
-/// the same key compile exactly once and everyone else blocks briefly
-/// and shares the artifact. Errors are never cached. The memo is
-/// unbounded, because a campaign's key set is finite; a serving layer
-/// that needs eviction wraps its own bounded store instead. An artifact
-/// costs about 48 bytes per piece: 24 in the arena and 24 in the sweep
-/// plans. The largest e12 cell (`m = 2`, `k = 4096`, `f = 4095`,
-/// horizon `1e12`) holds 181,710 pieces, or 8.8 MB (4.43 MB of arena
-/// and 4.36 MB of plan), and the full 24-cell e12 sweep about 40 MB.
+/// A miss compiles outside the shard lock. Concurrent requests for the
+/// same key compile exactly once: the others wait for the build and
+/// share the artifact, while other keys go ahead. Errors are never
+/// cached. [`CompileMemo::new`] never evicts, because a campaign's key
+/// set is finite. By vector capacity the largest e12 cell (`m = 2`,
+/// `k = 4096`, `f = 4095`, horizon `1e12`) holds 181,710 pieces in
+/// 11.39 MB, or 62.7 B per piece; the vectors' lengths count about
+/// 48 B per piece, 24 in the arena and 24 in the sweep plans.
 ///
 /// # Example
 ///
@@ -670,9 +668,7 @@ impl CompileStats {
 /// ```
 #[derive(Debug)]
 pub struct CompileMemo {
-    shards: Vec<Mutex<HashMap<FleetKey, Arc<CompiledFleet>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    cache: ShardedLru<FleetKey, Arc<CompiledFleet>>,
     compile_micros: AtomicU64,
 }
 
@@ -683,51 +679,40 @@ impl Default for CompileMemo {
 }
 
 impl CompileMemo {
-    /// Default shard count: enough to keep an 8-thread campaign off a
-    /// single lock without bloating the empty memo.
-    const DEFAULT_SHARDS: usize = 16;
-
-    /// A memo with the default shard count.
+    /// An unbounded memo over 16 shards, enough to keep an 8-thread
+    /// campaign off a single lock.
     pub fn new() -> Self {
-        CompileMemo::with_shards(Self::DEFAULT_SHARDS)
+        CompileMemo::bounded(usize::MAX, 16)
     }
 
-    /// A memo with an explicit shard count.
+    /// A memo of at most `capacity` artifacts over `shards` shards,
+    /// evicting the least recently used.
     ///
     /// # Panics
     ///
-    /// Panics if `shards = 0`.
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards > 0, "compile memo needs at least one shard");
+    /// Panics if `capacity` or `shards` is zero.
+    pub fn bounded(capacity: usize, shards: usize) -> Self {
         CompileMemo {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            cache: ShardedLru::new(capacity, shards),
             compile_micros: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(&self, key: &FleetKey) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
     /// Snapshots the counters.
     pub fn stats(&self) -> CompileStats {
+        let cache = self.cache.stats();
         CompileStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len() as u64).sum(),
+            hits: cache.hits,
+            misses: cache.misses,
+            entries: cache.entries as u64,
             compile_micros: self.compile_micros.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops every held artifact (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+    /// Snapshots the underlying cache's counters, evictions and
+    /// capacity included.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 }
 
@@ -737,21 +722,15 @@ impl CompileCache for CompileMemo {
         key: FleetKey,
         build: &mut dyn FnMut() -> Result<CompiledFleet, CoreError>,
     ) -> Result<Arc<CompiledFleet>, CoreError> {
-        let mut shard = self.shards[self.shard_of(&key)].lock();
-        if let Some(found) = shard.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(found));
-        }
-        // compile under the shard lock: same-key racers block and share
-        // the one artifact instead of compiling redundantly
-        let started = Instant::now();
-        let built = build()?;
-        self.compile_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let arc = Arc::new(built);
-        shard.insert(key, Arc::clone(&arc));
-        Ok(arc)
+        self.cache
+            .try_get_or_insert_with(key, || {
+                let started = Instant::now();
+                let built = build()?;
+                self.compile_micros
+                    .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+                Ok(Arc::new(built))
+            })
+            .map(|(fleet, _hit)| fleet)
     }
 }
 
@@ -1208,10 +1187,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        memo.clear();
-        assert_eq!(memo.stats().entries, 0);
-        // counters survive the clear
-        assert_eq!(memo.stats().misses, 1);
     }
 
     #[test]

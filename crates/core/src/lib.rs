@@ -15,6 +15,9 @@
 //!   consumer reads, keyed by fleet geometry ([`FleetKey`]) in a sharded
 //!   memo ([`CompileMemo`]) so evaluations, verdicts, Monte-Carlo runs
 //!   and campaign cells sharing geometry compile once;
+//! * [`cache`] — [`cache::ShardedLru`], the one memo cache: a sharded
+//!   LRU that computes a miss outside its shard lock, behind
+//!   [`CompileMemo`] and both of the serving layer's tiers;
 //! * [`canon`] — canonical `f64` cache keys ([`CanonF64`]: no `NaN`, no
 //!   `-0.0`) so a memoizing serving layer can key on instance parameters,
 //!   plus the pinned cross-process hash ([`stable_hash64`]) consistent-hash
@@ -56,6 +59,7 @@
 
 mod error;
 
+pub mod cache;
 pub mod campaign;
 pub mod canon;
 pub mod compiled;

@@ -38,14 +38,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use raysearch_bounds::{lambda_big, RayInstance, Regime};
+use raysearch_core::cache::{CacheStats, ShardedLru};
 use raysearch_core::{
-    evaluate_optimal_cached, verdict::verify_tightness_cached, CanonF64, CompileCache,
+    evaluate_optimal_cached, verdict::verify_tightness_cached, CanonF64, CompileCache, CompileMemo,
     CompiledFleet, CoreError, FleetKey,
 };
 use raysearch_mc::{FaultSampler, McConfig, Scenario, TargetSampler};
 use serde_json::{Map, Value};
 
-use crate::cache::{CacheStats, ShardedLru};
 use crate::http::{Request, Response};
 use crate::jobs::{
     format_job_id, parse_job_id, CancelError, CostClass, JobConfig, JobQueue, JobRecord, JobSpec,
@@ -113,11 +113,11 @@ pub const DEFAULT_MC_P: f64 = 0.1;
 /// are keyed by fleet geometry (`FleetKey`), so one entry serves every
 /// `/evaluate`, `/verdict` and `/montecarlo` request for the same
 /// instance and horizon; trivial-regime instances that differ only in
-/// `f` share one zone-partition entry. An entry costs about 48 bytes
-/// per piece, arena plus sweep plan: 8.8 MB for `k = 4096`, `f = 4095`
-/// at horizon `1e12` (181,710 pieces) and 10.7 MB at the `1e15`
-/// ceiling (222,530 pieces), so 64 entries of the heaviest instance
-/// would hold about 690 MB.
+/// `f` share one zone-partition entry. The entry count does not bound
+/// bytes: the heaviest admitted request, `(m, k, f, horizon)` =
+/// `(512, 4096, 30, 1e15)`, compiles 5,714,432 pieces and holds 306 MB
+/// resident, or 385 MB by vector capacity, so 64 such entries would
+/// hold 19.6–24.6 GB.
 pub const COMPILE_CACHE_CAPACITY: usize = 64;
 /// Shards of the compiled-fleet memo tier.
 pub const COMPILE_CACHE_SHARDS: usize = 8;
@@ -335,7 +335,7 @@ pub static SERVICE_METRICS: [Metric<ServiceState>; 24] = [
 #[derive(Debug)]
 pub struct ServiceState {
     cache: ShardedLru<String, String>,
-    compile: ShardedLru<FleetKey, Arc<CompiledFleet>>,
+    compile: CompileMemo,
     started: Instant,
     requests: AtomicU64,
     shed: AtomicU64,
@@ -343,13 +343,13 @@ pub struct ServiceState {
     jobs: JobQueue,
 }
 
-/// The compile tier viewed through the core's [`CompileCache`] seam, so
-/// `_cached` entry points can consume it directly. Doubles as the
-/// compile-span capture point: actual fleet builds (never memo hits)
-/// accumulate their wall time into `compile_micros` when attached.
+/// The compile tier as one request sees it: the shared [`CompileMemo`]
+/// behind the core's [`CompileCache`] seam, so `_cached` entry points
+/// can consume it directly, timing the request's own fleet builds
+/// (never memo hits) into `compile_micros` for the compile span.
 pub(crate) struct CompileTier<'a> {
-    cache: &'a ShardedLru<FleetKey, Arc<CompiledFleet>>,
-    compile_micros: Option<&'a Cell<u64>>,
+    memo: &'a CompileMemo,
+    compile_micros: &'a Cell<u64>,
 }
 
 impl CompileCache for CompileTier<'_> {
@@ -358,16 +358,13 @@ impl CompileCache for CompileTier<'_> {
         key: FleetKey,
         build: &mut dyn FnMut() -> Result<CompiledFleet, CoreError>,
     ) -> Result<Arc<CompiledFleet>, CoreError> {
-        self.cache
-            .try_get_or_insert_with(key, || {
-                let before = Instant::now();
-                let built = build().map(Arc::new);
-                if let Some(cell) = self.compile_micros {
-                    cell.set(cell.get() + before.elapsed().as_micros() as u64);
-                }
-                built
-            })
-            .map(|(fleet, _hit)| fleet)
+        self.memo.get_or_compile(key, &mut || {
+            let before = Instant::now();
+            let built = build();
+            let micros = before.elapsed().as_micros() as u64;
+            self.compile_micros.set(self.compile_micros.get() + micros);
+            built
+        })
     }
 }
 
@@ -393,7 +390,7 @@ impl ServiceState {
     pub fn with_jobs(capacity: usize, shards: usize, jobs: JobConfig) -> Self {
         ServiceState {
             cache: ShardedLru::new(capacity, shards),
-            compile: ShardedLru::new(COMPILE_CACHE_CAPACITY, COMPILE_CACHE_SHARDS),
+            compile: CompileMemo::bounded(COMPILE_CACHE_CAPACITY, COMPILE_CACHE_SHARDS),
             started: Instant::now(),
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -424,7 +421,7 @@ impl ServiceState {
 
     /// Snapshot of the compiled-fleet memo tier's counters.
     pub fn compile_stats(&self) -> CacheStats {
-        self.compile.stats()
+        self.compile.cache_stats()
     }
 
     /// Total requests dispatched so far.
@@ -439,10 +436,11 @@ impl ServiceState {
 
     /// Computes (or recalls) the deterministic payload for `key`.
     /// Returns the payload JSON string and whether it was a cache hit.
-    /// Concurrent identical requests coalesce into one computation (the
-    /// shard stays locked while it runs), and failed computations are
-    /// never cached, so a transiently bad request cannot poison the
-    /// entry for a later valid one.
+    /// The computation runs outside the shard lock, so other keys are
+    /// served meanwhile; concurrent identical requests coalesce into
+    /// one computation (the others wait for it and count a hit), and
+    /// failed computations are never cached, so a transiently bad
+    /// request cannot poison the entry for a later valid one.
     ///
     /// Spans are attributed as it goes: the lookup overhead (total minus
     /// compute) lands in `cache_lookup`, actual fleet builds land in
@@ -461,8 +459,8 @@ impl ServiceState {
         let result = self.cache.try_get_or_insert_with(key, || {
             let started = Instant::now();
             let tier = CompileTier {
-                cache: &self.compile,
-                compile_micros: Some(&compile_micros),
+                memo: &self.compile,
+                compile_micros: &compile_micros,
             };
             let out = compute(&tier);
             compute_micros.set(started.elapsed().as_micros() as u64);
@@ -1087,14 +1085,6 @@ struct JobEnvelope<'a> {
 /// endpoint's own parameters all come from the body or the query, like
 /// any parameter. The body is parsed once, for all of them.
 fn unwrap_job(req: &Request) -> Result<JobEnvelope<'_>, ApiError> {
-    let body = req
-        .body_utf8()
-        .ok_or_else(|| ApiError::bad_request("request body is not UTF-8"))?;
-    if body.trim().is_empty() {
-        return Err(ApiError::bad_request(
-            "POST /jobs requires a JSON body with an \"endpoint\" tag",
-        ));
-    }
     let params = RequestParams::from(req)?;
     let endpoint = params
         .opt_str("endpoint")?
@@ -1306,5 +1296,71 @@ impl<'a> RequestParams<'a> {
                 "{name} must be a string, got {other:?}"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Runs `f` on its own thread and returns its result, or `None` when
+    /// it takes longer than 10 s.
+    fn within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(10)).ok()
+    }
+
+    /// `compute`, keyed `slow:test`.
+    fn slow(compute: ComputeFn) -> Prepared {
+        Prepared {
+            key: "slow:test".to_owned(),
+            cost: 0,
+            compute,
+        }
+    }
+
+    #[test]
+    fn a_computing_request_leaves_its_shard_serving() {
+        // one result shard, so every key shares the slow key's shard
+        let state = Arc::new(ServiceState::new(64, 1));
+        let closed_form = || Request::new("GET", "/closed_form?k=3&f=1", "");
+        assert_eq!(state.handle(&closed_form()).status, 200);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<String>();
+        let first = {
+            let state = Arc::clone(&state);
+            let prepared = slow(Box::new(move |_| {
+                started_tx.send(()).unwrap();
+                Ok(release_rx.recv().unwrap())
+            }));
+            std::thread::spawn(move || state.execute(&mut SpanSet::start(), prepared))
+        };
+        started_rx.recv().unwrap();
+        let reads = {
+            let state = Arc::clone(&state);
+            within_10s(move || {
+                let cached = state.handle(&closed_form());
+                let stats = state.handle(&Request::new("GET", "/stats", ""));
+                let hit = cached.body.starts_with("{\"cached\":true,");
+                (cached.status, hit, stats.status)
+            })
+        };
+        assert_eq!(reads, Some((200, true, 200)));
+        // a second request for the computing key waits, then hits
+        let second = {
+            let state = Arc::clone(&state);
+            let prepared = slow(Box::new(|_| unreachable!("computed twice")));
+            std::thread::spawn(move || state.execute(&mut SpanSet::start(), prepared))
+        };
+        release_tx.send("{\"slow\":true}".to_owned()).unwrap();
+        let payload = "{\"slow\":true}".to_owned();
+        assert_eq!(first.join().unwrap(), Ok((payload.clone(), false)));
+        assert_eq!(second.join().unwrap(), Ok((payload, true)));
+        let stats = state.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
     }
 }

@@ -9,13 +9,14 @@
 //!
 //! * [`http`] — a hand-rolled, dependency-free HTTP/1.1 layer (the
 //!   environment has no crates.io access: no hyper, no tiny_http);
-//! * [`cache`] — a sharded LRU memo cache with hit/miss/eviction
-//!   counters, keyed by canonicalized instance parameters
-//!   ([`raysearch_core::canon`]);
 //! * [`api`] — the endpoints (`/closed_form`, `/evaluate`, `/verdict`,
 //!   `/campaign`, `/montecarlo`, `/healthz`, `/stats`, `/metrics`,
 //!   `/jobs`, `/debug/slow`, `/debug/trace`) over the `raysearch-core`
-//!   evaluators, the Monte-Carlo engine and the campaign registry;
+//!   evaluators, the Monte-Carlo engine and the campaign registry. Their
+//!   payloads are memoized in core's sharded LRU cache
+//!   ([`raysearch_core::cache::ShardedLru`]), keyed by canonicalized
+//!   instance parameters ([`raysearch_core::canon`]), above a bounded
+//!   compiled-fleet tier ([`raysearch_core::CompileMemo`]);
 //! * [`server`] — a fixed HTTP worker pool behind a bounded accept
 //!   queue, with load shedding (503 + `Retry-After`), cooperative
 //!   shutdown, and a separate compute-worker pool draining the job
@@ -83,7 +84,6 @@
 
 pub mod api;
 pub mod backends;
-pub mod cache;
 pub mod client;
 pub mod http;
 pub mod jobs;
@@ -94,7 +94,7 @@ pub mod tape;
 pub mod telemetry;
 
 pub use api::{routing_key, ServiceState};
-pub use cache::{CacheStats, ShardedLru};
+pub use raysearch_core::cache::CacheStats;
 pub use route::{rendezvous_rank, BackendSpec, RouterState};
 pub use server::{Handler, Server, ServerConfig, ServerHandle};
 pub use tape::{Tape, TapeEntry, TapeRecorder};

@@ -6,7 +6,7 @@
 //! worker takes a deterministic round-robin share of the tape in tick
 //! order (worker `w` of `c` gets entries `w, w+c, w+2c, …`), so the
 //! multiset of requests issued — and, because backends coalesce
-//! concurrent identical computations under the memo-shard lock, the
+//! concurrent identical computations (a waiter counts a hit), the
 //! aggregate hit/miss/shed counters — is a pure function of the tape
 //! and the fleet's cache temperature, independent of concurrency and
 //! scheduling. That is what lets CI assert `replay(tape, c=1)` and

@@ -231,6 +231,8 @@ fn job_target_parameters_in_the_query_run_like_the_synchronous_twin() {
     for (endpoint, query, body) in [
         ("evaluate", "k=600&f=599", r#"{"m":2,"horizon":1e12}"#),
         ("montecarlo", "k=4&f=1", r#"{"m":3,"samples":500,"seed":7}"#),
+        // every parameter in the query, and an empty body
+        ("evaluate", "k=300&f=299&m=2&horizon=1e9", ""),
     ] {
         let (status, submitted) = send(
             "POST",
